@@ -1,30 +1,19 @@
-"""Scan backend selection: compiled extension if built, pure Python otherwise.
+"""Scan kernels as the search layer calls them.
 
-Set HFP_PURE=1 to force the pure backend (used by the benchmark and by the
-backend-equality tests).
+Callers look the kernels up here at call time, so one module attribute
+replaces a kernel everywhere (the benchmark's tracer does this).
 """
 
 from __future__ import annotations
 
-import os
+from ._scan_py import gosper_next, least_geq_with_weight, scan_quaternion, scan_two_generator
 
-from . import _scan_py
+__all__ = [
+    "BACKEND_NAME",
+    "gosper_next",
+    "least_geq_with_weight",
+    "scan_quaternion",
+    "scan_two_generator",
+]
 
-if os.environ.get("HFP_PURE") == "1":
-    _impl = _scan_py
-    COMPILED = False
-else:
-    try:
-        from . import _scan as _impl  # type: ignore[no-redef]
-
-        COMPILED = True
-    except ImportError:
-        _impl = _scan_py
-        COMPILED = False
-
-scan_two_generator = _impl.scan_two_generator
-scan_quaternion = _impl.scan_quaternion
-gosper_next = _impl.gosper_next
-least_geq_with_weight = _impl.least_geq_with_weight
-
-BACKEND_NAME = "compiled" if COMPILED else "pure-python"
+BACKEND_NAME = "pure-python"

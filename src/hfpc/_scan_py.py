@@ -1,17 +1,28 @@
 """Pure-Python scan kernels for the candidate search.
 
 Candidates are plain ints in the BitVector layout (coordinate 1 = MSB).
-The compiled twin in _scan.pyx implements exactly the same pipeline and
-counter semantics; hfpc._backend picks whichever is importable.
 
 Family codes: 0 = 4tu2, 1 = 2t22u, 2 = 2t4u.
 Counter tuples:
   two-generator: (examined, rejected_power, rejected_hadamard)
   quaternion:    (examined, rejected_power, rejected_no_b,
                   rejected_relation, rejected_hadamard)
+
+The two-generator scan is a join on half-words.  pi_a rotates the two 2t-bit
+halves of a word independently, so the power a^j is (S_j(hi), S_j(lo)) with
+S_1(x) = x and S_j(x) = x + rotr(S_{j-1}(x)), and a word passes the power
+filter exactly when wt S_j(hi) + wt S_j(lo) = 2t for every j < 2t.  The
+survivors are therefore the pairs of halves whose weight signatures
+(wt S_1, ..., wt S_{2t-1}) are complementary; they are enumerated directly
+and only they reach the Hadamard filter.  The examined and power-rejected
+counts come from ranking the candidate stream, as if every candidate had
+been visited in ascending order.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
+from math import comb
 
 __all__ = ["scan_two_generator", "scan_quaternion", "gosper_next", "least_geq_with_weight"]
 
@@ -49,80 +60,186 @@ def _weight_range(lo: int, hi: int, n: int, w: int):
         v = gosper_next(v)
 
 
+_FIELD = 6  # bits per weight in a packed signature; weights are at most 2t < 64
+
+# half-word length -> (half-words with a power-filter partner, ascending;
+# the sorted partners of each), built on first use for that length
+_JOIN_TABLES: dict[int, tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = {}
+
+
+def _signature(x: int, h: int) -> int:
+    """wt S_1(x) .. wt S_{h-1}(x) of an h-bit half-word, packed, S_1 lowest."""
+    sig = 0
+    cur = x
+    for j in range(h - 1):
+        sig |= cur.bit_count() << (_FIELD * j)
+        cur = x ^ ((cur >> 1) | ((cur & 1) << (h - 1)))
+    return sig
+
+
+def _necklaces(h: int):
+    """Smallest rotation of each h-bit word, ascending (Fredricksen-Kessler-Maiorana)."""
+    digits = [0] * (h + 1)
+    yield 0
+    while True:
+        i = h
+        while i and digits[i]:
+            i -= 1
+        if not i:
+            return
+        digits[i] = 1
+        for j in range(i + 1, h + 1):
+            digits[j] = digits[j - i]
+        if h % i == 0:
+            yield int("".join(map(str, digits[1:])), 2)
+
+
+def _join_table(h: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Every h-bit half-word that has a partner, with its partners ascending.
+
+    S_j commutes with rotation, so all rotations of a half-word share its
+    signature: one signature per necklace suffices to build the table.
+    """
+    table = _JOIN_TABLES.get(h)
+    if table is None:
+        mask = (1 << h) - 1
+        by_sig: dict[int, list[int]] = {}
+        for rep in _necklaces(h):
+            by_sig.setdefault(_signature(rep, h), []).append(rep)
+
+        def rotations(reps: list[int]) -> list[int]:
+            return sorted({((r >> k) | (r << (h - k))) & mask for r in reps for k in range(h)})
+
+        full = sum(h << (_FIELD * j) for j in range(h - 1))
+        pairs = []
+        for sig, reps in by_sig.items():
+            partners = by_sig.get(full - sig)
+            if partners:
+                lows = tuple(rotations(partners))
+                pairs.extend((top, lows) for top in rotations(reps))
+        pairs.sort()
+        table = _JOIN_TABLES[h] = (
+            tuple(top for top, _ in pairs),
+            tuple(lows for _, lows in pairs),
+        )
+    return table
+
+
+def _count_below(x: int, bits: int, w: int) -> int:
+    """Number of bits-bit words of weight w below x, for 0 <= x <= 2^bits."""
+    if x >> bits:
+        return comb(bits, w)
+    count = 0
+    for i in range(bits - 1, -1, -1):
+        if (x >> i) & 1:
+            if w >= 0:
+                count += comb(i, w)
+            w -= 1
+    return count
+
+
+def _rank(x: int, h: int, need_odd: int) -> int:
+    """Number of two-generator stream candidates below x, for 0 <= x <= 2^2h.
+
+    The stream holds the 2h-bit words of weight h whose high half has weight
+    parity need_odd.
+    """
+    top = x >> h
+    count = sum(
+        _count_below(top, h, k) * comb(h, h - k) for k in range(need_odd, h + 1, 2)
+    )
+    k = top.bit_count()
+    if (k & 1) == need_odd:
+        count += _count_below(x & ((1 << h) - 1), h, h - k)
+    return count
+
+
+def _power_survivors(h: int, need_odd: int, lo: int, hi: int):
+    """Stream candidates in [lo, hi) that pass the power filter, ascending."""
+    tops, partners = _join_table(h)
+    for idx in range(bisect_left(tops, lo >> h), len(tops)):
+        top = tops[idx]
+        base = top << h
+        if base >= hi:
+            return
+        if (top.bit_count() & 1) != need_odd:
+            continue
+        for low in partners[idx]:
+            a = base | low
+            if a >= hi:
+                return
+            if a >= lo:
+                yield a
+
+
+def _is_hadamard(a: int, h: int, b_compl: bool) -> bool:
+    """The scan's Hadamard filter on a power survivor a.
+
+    Builds the companion generator b, then checks that the words a^j and
+    a^j * b are pairwise at distance 2t.
+    """
+    n = 2 * h
+    mh = (1 << h) - 1
+    # companion generator: first half of b is the suffix xor of a + pi_b(a)
+    p = (a >> h) ^ (a & mh)
+    k = 1
+    while k < h:
+        p ^= (p << k) & mh
+        k <<= 1
+    bh = (p << 1) & mh
+    b = (bh << h) | (bh ^ mh if b_compl else bh)
+
+    wj = [0] * h  # powers a^0 .. a^(h-1)
+    wj[1] = a
+    cur = a
+    for j in range(2, h):
+        ch = cur >> h
+        cl = cur & mh
+        ch = (ch >> 1) | ((ch & 1) << (h - 1))
+        cl = (cl >> 1) | ((cl & 1) << (h - 1))
+        cur = a ^ ((ch << h) | cl)
+        wj[j] = cur
+
+    # full table: a^j and a^j * b, then all pairwise distances must be 2t
+    d_tab = [0] * n
+    rb = b
+    for j in range(h):
+        d_tab[j] = wj[j]
+        d_tab[h + j] = wj[j] ^ rb
+        rh = rb >> h
+        rl = rb & mh
+        rh = (rh >> 1) | ((rh & 1) << (h - 1))
+        rl = (rl >> 1) | ((rl & 1) << (h - 1))
+        rb = (rh << h) | rl
+    for i in range(n):
+        di = d_tab[i]
+        for j in range(i + 1, n):
+            if (di ^ d_tab[j]).bit_count() != h:
+                return False
+    return True
+
+
 def scan_two_generator(
     family: int, t: int, lo: int, hi: int, first_only: bool = False
 ) -> tuple[list[int], tuple[int, int, int]]:
-    n = 4 * t
     h = 2 * t
-    mh = (1 << h) - 1
-    w = 2 * t
     need_odd = 1 if family == 0 else 0
     b_compl = family == 2
-    examined = rej_pow = rej_had = 0
+    lo = max(lo, 0)
+    hi = min(hi, 1 << (2 * h))
+    if lo >= hi:
+        return [], (0, 0, 0)
     accepted: list[int] = []
-    wj = [0] * h  # powers a^0 .. a^(h-1)
-    d_tab = [0] * n
-
-    for a in _weight_range(lo, hi, n, w):
-        ah_half = a >> h
-        if (ah_half.bit_count() & 1) != need_odd:
-            continue
-        examined += 1
-
-        # companion generator: first half of b is the suffix xor of a + pi_b(a)
-        p = ah_half ^ (a & mh)
-        k = 1
-        while k < h:
-            p ^= (p << k) & mh
-            k <<= 1
-        bh = (p << 1) & mh
-        b = (bh << h) | (bh ^ mh if b_compl else bh)
-
-        # incremental powers, rejecting on the first one of wrong weight
-        wj[0] = 0
-        wj[1] = a
-        cur = a
-        bad = False
-        for j in range(2, h):
-            ch = cur >> h
-            cl = cur & mh
-            ch = (ch >> 1) | ((ch & 1) << (h - 1))
-            cl = (cl >> 1) | ((cl & 1) << (h - 1))
-            cur = a ^ ((ch << h) | cl)
-            if cur.bit_count() != w:
-                bad = True
+    survivors = 0
+    for a in _power_survivors(h, need_odd, lo, hi):
+        survivors += 1
+        if _is_hadamard(a, h, b_compl):
+            accepted.append(a)
+            if first_only:
+                hi = a + 1  # counting stops at the first accepted candidate
                 break
-            wj[j] = cur
-        if bad:
-            rej_pow += 1
-            continue
-
-        # full table: a^j and a^j * b, then all pairwise distances must be 2t
-        rb = b
-        for j in range(h):
-            d_tab[j] = wj[j]
-            d_tab[h + j] = wj[j] ^ rb
-            rh = rb >> h
-            rl = rb & mh
-            rh = (rh >> 1) | ((rh & 1) << (h - 1))
-            rl = (rl >> 1) | ((rl & 1) << (h - 1))
-            rb = (rh << h) | rl
-        ok = True
-        for i in range(n):
-            di = d_tab[i]
-            for j in range(i + 1, n):
-                if (di ^ d_tab[j]).bit_count() != w:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            rej_had += 1
-            continue
-        accepted.append(a)
-        if first_only:
-            break
-    return accepted, (examined, rej_pow, rej_had)
+    examined = _rank(hi, h, need_odd) - _rank(lo, h, need_odd)
+    return accepted, (examined, examined - survivors, survivors - len(accepted))
 
 
 def scan_quaternion(

@@ -10,15 +10,6 @@ sys.path.insert(0, os.path.dirname(__file__))
 from hfpc.search import SearchTask, run_search  # noqa: E402
 
 
-def pytest_collection_modifyitems(config, items):
-    if os.environ.get("HFP_DEEP") == "1":
-        return
-    skip = pytest.mark.skip(reason="deep run disabled (set HFP_DEEP=1)")
-    for item in items:
-        if "deep" in item.keywords:
-            item.add_marker(skip)
-
-
 @pytest.fixture(scope="session")
 def accepted_pool():
     """Every accepted code from the small searched cells, keyed by (family, t)."""

@@ -2,13 +2,15 @@
 
 The oracles here deliberately avoid the library's optimized code paths:
 rank by explicit span enumeration, kernel by trying every word of F^n,
-search by running the reference constructor on the whole 2^4t space.
+search by running the reference constructor on the whole 2^4t space, and the
+two-generator scan by visiting every candidate with Gosper's hack.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
+from hfpc._scan_py import _weight_range
 from hfpc.families import Reject, assemble, assemble_quaternion_variants
 from hfpc.gf2 import BitVector
 from hfpc.propelinear import PropelinearElement, star_elem
@@ -86,13 +88,19 @@ def iterated_star_power(x: PropelinearElement, i: int) -> BitVector:
     return acc.vector
 
 
-def element_order(x: PropelinearElement, limit: int) -> int:
+def star_powers(x: PropelinearElement, limit: int) -> list[BitVector]:
+    """Vectors of x^1 .. x^order by one star chain, independent of element_power.
+
+    x^i is star_elem(x, x^(i-1)); the chain stops at the first identity
+    element, so the list's length is the order of x (at most limit).
+    """
+    identity = tuple(range(1, x.perm.degree + 1))
     acc = x
-    for i in range(1, limit + 1):
-        if acc.vector.value == 0 and acc.perm.images == tuple(
-            range(1, x.perm.degree + 1)
-        ):
-            return i
+    out = []
+    for _ in range(limit):
+        out.append(acc.vector)
+        if acc.vector.value == 0 and acc.perm.images == identity:
+            return out
         acc = star_elem(x, acc)
     raise AssertionError("order above limit")
 
@@ -143,3 +151,84 @@ def all_weight_w(n: int, w: int) -> list[int]:
             x |= 1 << p
         out.append(x)
     return sorted(out)
+
+
+def gosper_scan_two_generator(
+    family: int, t: int, lo: int, hi: int, first_only: bool = False
+) -> tuple[list[int], tuple[int, int, int]]:
+    """The two-generator scan as one Gosper pass over every stream candidate.
+
+    Same signature, counters and accepted order as hfpc._scan_py.scan_two_generator;
+    it visits all C(4t, 2t) / 2 candidates and filters each one in turn.
+    """
+    n = 4 * t
+    h = 2 * t
+    mh = (1 << h) - 1
+    w = 2 * t
+    need_odd = 1 if family == 0 else 0
+    b_compl = family == 2
+    examined = rej_pow = rej_had = 0
+    accepted: list[int] = []
+    wj = [0] * h  # powers a^0 .. a^(h-1)
+    d_tab = [0] * n
+
+    for a in _weight_range(lo, hi, n, w):
+        ah_half = a >> h
+        if (ah_half.bit_count() & 1) != need_odd:
+            continue
+        examined += 1
+
+        # companion generator: first half of b is the suffix xor of a + pi_b(a)
+        p = ah_half ^ (a & mh)
+        k = 1
+        while k < h:
+            p ^= (p << k) & mh
+            k <<= 1
+        bh = (p << 1) & mh
+        b = (bh << h) | (bh ^ mh if b_compl else bh)
+
+        # incremental powers, rejecting on the first one of wrong weight
+        wj[0] = 0
+        wj[1] = a
+        cur = a
+        bad = False
+        for j in range(2, h):
+            ch = cur >> h
+            cl = cur & mh
+            ch = (ch >> 1) | ((ch & 1) << (h - 1))
+            cl = (cl >> 1) | ((cl & 1) << (h - 1))
+            cur = a ^ ((ch << h) | cl)
+            if cur.bit_count() != w:
+                bad = True
+                break
+            wj[j] = cur
+        if bad:
+            rej_pow += 1
+            continue
+
+        # full table: a^j and a^j * b, then all pairwise distances must be 2t
+        rb = b
+        for j in range(h):
+            d_tab[j] = wj[j]
+            d_tab[h + j] = wj[j] ^ rb
+            rh = rb >> h
+            rl = rb & mh
+            rh = (rh >> 1) | ((rh & 1) << (h - 1))
+            rl = (rl >> 1) | ((rl & 1) << (h - 1))
+            rb = (rh << h) | rl
+        ok = True
+        for i in range(n):
+            di = d_tab[i]
+            for j in range(i + 1, n):
+                if (di ^ d_tab[j]).bit_count() != w:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if not ok:
+            rej_had += 1
+            continue
+        accepted.append(a)
+        if first_only:
+            break
+    return accepted, (examined, rej_pow, rej_had)

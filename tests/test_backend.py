@@ -1,20 +1,13 @@
 from __future__ import annotations
 
-import pytest
+import random
+
 from hypothesis import given
 from hypothesis import strategies as st
 
 from hfpc import _scan_py
-from helpers import all_weight_w
-
-try:
-    from hfpc import _scan as compiled
-except ImportError:
-    compiled = None
-
-needs_compiled = pytest.mark.skipif(
-    compiled is None, reason="compiled extension not built"
-)
+from hfpc.search import candidate_count
+from helpers import all_weight_w, gosper_scan_two_generator
 
 
 def test_gosper_enumerates_fixed_weight():
@@ -36,42 +29,42 @@ def test_least_geq_with_weight(n, data):
     assert got == (brute[0] if brute else None)
 
 
-@needs_compiled
-def test_backends_agree_two_generator():
+def test_join_matches_gosper_scan_on_full_range():
     for fam in (0, 1, 2):
         for t in (1, 2, 3, 4):
             span = 1 << (4 * t)
-            assert _scan_py.scan_two_generator(fam, t, 0, span) == compiled.scan_two_generator(fam, t, 0, span)
-    # subranges and first-only mode
-    assert _scan_py.scan_two_generator(1, 4, 0x1234, 0xFE10) == compiled.scan_two_generator(1, 4, 0x1234, 0xFE10)
-    assert _scan_py.scan_two_generator(2, 4, 0, 1 << 16, True) == compiled.scan_two_generator(2, 4, 0, 1 << 16, True)
+            for first in (False, True):
+                assert _scan_py.scan_two_generator(fam, t, 0, span, first) == (
+                    gosper_scan_two_generator(fam, t, 0, span, first)
+                ), (fam, t, first)
 
 
-@needs_compiled
-def test_backends_agree_quaternion():
-    for t in (1, 3, 5):
-        span = 1 << (4 * t)
-        assert _scan_py.scan_quaternion(t, 0, span) == compiled.scan_quaternion(t, 0, span)
-    assert _scan_py.scan_quaternion(3, 100, 3000) == compiled.scan_quaternion(3, 100, 3000)
-    assert _scan_py.scan_quaternion(5, 0, 1 << 20, True) == compiled.scan_quaternion(5, 0, 1 << 20, True)
+def test_join_matches_gosper_scan_on_subranges():
+    rng = random.Random(808747)
+    cases = [(1, 4, 0x1234, 0xFE10), (2, 4, -5, (1 << 16) + 5), (0, 3, 7, 7), (2, 2, 200, 100)]
+    for fam in (0, 1, 2):
+        for t in (2, 3, 4, 5, 6):
+            top = 1 << (4 * t)
+            for _ in range(6):
+                lo = rng.randrange(0, top)
+                cases.append((fam, t, lo, lo + rng.randrange(1, 1 << 16)))
+    for fam, t, lo, hi in cases:
+        for first in (False, True):
+            assert _scan_py.scan_two_generator(fam, t, lo, hi, first) == (
+                gosper_scan_two_generator(fam, t, lo, hi, first)
+            ), (fam, t, lo, hi, first)
 
 
-@needs_compiled
-def test_backend_helpers_agree():
-    for lo, n, w in ((0, 10, 4), (517, 12, 6), (4095, 12, 6), (1, 8, 0)):
-        assert _scan_py.least_geq_with_weight(lo, n, w) == compiled.least_geq_with_weight(lo, n, w)
-    for v in (1, 3, 0b1010100, 0b1111):
-        assert _scan_py.gosper_next(v) == compiled.gosper_next(v)
-
-
-def test_backend_selection_env(monkeypatch):
-    import importlib
-
-    import hfpc._backend as backend_mod
-
-    monkeypatch.setenv("HFP_PURE", "1")
-    importlib.reload(backend_mod)
-    assert not backend_mod.COMPILED
-    assert backend_mod.BACKEND_NAME == "pure-python"
-    monkeypatch.delenv("HFP_PURE")
-    importlib.reload(backend_mod)
+def test_rank_counts_stream_candidates_below():
+    for t in (1, 2, 3):
+        h = 2 * t
+        top = 1 << (2 * h)
+        for need_odd in (0, 1):
+            below = 0
+            for x in range(top + 1):
+                assert _scan_py._rank(x, h, need_odd) == below, (t, need_odd, x)
+                if x.bit_count() == h and ((x >> h).bit_count() & 1) == need_odd:
+                    below += 1
+    for tag, need_odd in (("4tu2", 1), ("2t4u", 0)):
+        for t in range(1, 11):
+            assert _scan_py._rank(1 << (8 * t), 2 * t, need_odd) == candidate_count(tag, t)

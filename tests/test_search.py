@@ -15,7 +15,7 @@ from hfpc.search import (
     reproduce_table,
     run_search,
 )
-from helpers import EXPECTED_CELLS, all_weight_w, brute_force_accepted
+from helpers import EXPECTED_CELLS, GENERATOR_B, all_weight_w, brute_force_accepted
 
 V = BitVector.from_string
 
@@ -81,6 +81,31 @@ def test_run_search_first_mode():
     assert len(first.accepted) == 1
     assert first.accepted[0].candidate == full.accepted[0].candidate
     assert first.counters["examined"] <= full.counters["examined"]
+
+
+def test_run_search_first_mode_t8_counters():
+    # first-mode counters stop at the first accepted candidate in stream order,
+    # far below the end of the 300,546,630-candidate space
+    first = run_search(SearchTask("2t4u", 8, mode="first"))
+    assert [a.candidate for a in first.accepted] == [GENERATOR_B]
+    assert first.counters == {
+        "examined": 1135031,
+        "rejected_power": 1135005,
+        "rejected_hadamard": 25,
+        "accepted": 1,
+    }
+
+
+def test_run_search_4tu2_t8_exact_counts():
+    res = run_search(SearchTask("4tu2", 8, mode="all"))
+    assert res.counters == {
+        "examined": 300533760,
+        "rejected_power": 300394496,
+        "rejected_hadamard": 139264,
+        "accepted": 0,
+    }
+    assert res.counters["examined"] == candidate_count("4tu2", 8)
+    assert res.accepted == [] and res.distinct_code_sets == 0
 
 
 def test_run_search_deterministic_across_workers():
