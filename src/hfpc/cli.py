@@ -55,7 +55,6 @@ class RunConfig:
     workers: int | None = None
     output: str | None = None
     deep: bool = False
-    seed: int | None = None  # reserved; exact paths ignore it
     checkpoint: str | None = None
 
 
@@ -291,7 +290,6 @@ def build_parser() -> _Parser:
     p_search.add_argument("--deep", action="store_true")
     p_search.add_argument("--output", default=None)
     p_search.add_argument("--checkpoint", default=None)
-    p_search.add_argument("--seed", type=int, default=None)
 
     p_verify = sub.add_parser("verify", help="profile an explicit generator")
     p_verify.add_argument("--family", required=True, choices=SEARCH_TAGS)
@@ -339,7 +337,6 @@ def main(argv: list[str] | None = None) -> int:
                 workers=args.workers if args.workers else default_workers(),
                 output=args.output,
                 deep=args.deep,
-                seed=args.seed,
                 checkpoint=args.checkpoint,
             )
             return cmd_search(cfg, parser)

@@ -86,15 +86,32 @@ def inverse(
 
 
 def element_power(x: PropelinearElement, i: int) -> BitVector:
-    """Vector of x^i, computed as x + pi_x(x) + ... + pi_x^{i-1}(x)."""
+    """Vector of x^i, which is x + pi_x(x) + ... + pi_x^{i-1}(x).
+
+    The star product is associative, so x^i is built by square-and-multiply
+    in O(log i) products.  The products act on the raw vector value and image
+    tuple, the same arithmetic as star_elem without its object construction.
+    """
     if i < 1:
         raise ValueError("power must be positive")
-    acc = x.vector
-    cur = x.vector
-    for _ in range(i - 1):
-        cur = apply(x.perm, cur)
-        acc = acc ^ cur
-    return acc
+    n = x.vector.n
+
+    def product(u: int, p: tuple[int, ...], v: int, q: tuple[int, ...]):
+        # (u, p) * (v, q) = (u + p(v), p q); p moves coordinate k + 1 to p[k]
+        for k, img in enumerate(p):
+            if (v >> (n - k - 1)) & 1:
+                u ^= 1 << (n - img)
+        return u, tuple(p[j - 1] for j in q)
+
+    result = None
+    vec, imgs = x.vector.value, x.perm.images
+    while True:
+        if i & 1:
+            result = (vec, imgs) if result is None else product(*result, vec, imgs)
+        i >>= 1
+        if not i:
+            return BitVector(n, result[0])
+        vec, imgs = product(vec, imgs, vec, imgs)
 
 
 # ---------------------------------------------------------------------------

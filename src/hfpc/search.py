@@ -17,7 +17,7 @@ import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import comb
 from typing import Callable, Iterator
 
@@ -317,15 +317,8 @@ def run_search(
             # identical code set: reuse the profile but report this candidate's
             # own generators
             gens = code.generators
-            prof = CodeProfile(
-                family=prof.family,
-                t=prof.t,
-                length=prof.length,
-                size=prof.size,
-                rank=prof.rank,
-                kernel_dim=prof.kernel_dim,
-                kernel_basis=prof.kernel_basis,
-                min_distance=prof.min_distance,
+            prof = replace(
+                prof,
                 generator_a=str(gens["a"].vector) if "a" in gens else None,
                 generator_b=str(gens["b"].vector) if "b" in gens else None,
                 generator_d=str(gens["d"].vector) if "d" in gens else None,

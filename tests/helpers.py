@@ -3,14 +3,15 @@
 The oracles here deliberately avoid the library's optimized code paths:
 rank by explicit span enumeration, kernel by trying every word of F^n,
 search by running the reference constructor on the whole 2^4t space, and the
-two-generator scan by visiting every candidate with Gosper's hack.
+two-generator and quaternion scans by visiting every candidate with Gosper's
+hack.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from hfpc._scan_py import _weight_range
+from hfpc._scan_py import gosper_next, least_geq_with_weight
 from hfpc.families import Reject, assemble, assemble_quaternion_variants
 from hfpc.gf2 import BitVector
 from hfpc.propelinear import PropelinearElement, star_elem
@@ -153,6 +154,15 @@ def all_weight_w(n: int, w: int) -> list[int]:
     return sorted(out)
 
 
+def _weight_range(lo: int, hi: int, n: int, w: int):
+    """The n-bit words of weight w in [lo, hi), ascending."""
+    v = least_geq_with_weight(lo, n, w)
+    limit = min(hi, 1 << n)
+    while v is not None and v < limit:
+        yield v
+        v = gosper_next(v)
+
+
 def gosper_scan_two_generator(
     family: int, t: int, lo: int, hi: int, first_only: bool = False
 ) -> tuple[list[int], tuple[int, int, int]]:
@@ -232,3 +242,140 @@ def gosper_scan_two_generator(
         if first_only:
             break
     return accepted, (examined, rej_pow, rej_had)
+
+
+def gosper_scan_quaternion(
+    t: int, lo: int, hi: int, first_only: bool = False
+) -> tuple[list[tuple[int, int, int]], tuple[int, int, int, int, int]]:
+    """The quaternion scan as one Gosper pass over every stream candidate.
+
+    Same signature, counters and accepted order as hfpc._scan_py.scan_quaternion;
+    it visits all C(4t, 2t) weight-2t words, filters each one in turn and
+    derives and checks all four (f1, f3) variants of every power survivor.
+    """
+    n = 4 * t
+    w = 2 * t
+    full = (1 << n) - 1
+    m1 = int("1000" * t, 2)
+    m2 = m1 >> 1
+    m3 = m1 >> 2
+    aa = int("10" * (2 * t), 2)  # odd bit positions, for the pair swap
+    bb = aa >> 1
+    cc = int("1100" * t, 2)  # high bit pairs of each nibble
+    dd = cc >> 2
+
+    def rot4(x: int) -> int:
+        return (x >> 4) | ((x & 15) << (n - 4))
+
+    def pairswap(x: int) -> int:
+        return ((x & aa) >> 1) | ((x & bb) << 1)
+
+    def nibswap(x: int) -> int:
+        return ((x & cc) >> 2) | ((x & dd) << 2)
+
+    examined = rej_pow = rej_nob = rej_rel = rej_had = 0
+    accepted: list[tuple[int, int, int]] = []
+    powers = [0] * t
+    t_tab = [0] * n
+
+    for d in _weight_range(lo, hi, n, w):
+        if (d & m1).bit_count() & 1 or (d & m2).bit_count() & 1 or (d & m3).bit_count() & 1:
+            continue
+        examined += 1
+
+        powers[0] = 0
+        if t > 1:
+            powers[1] = d
+        cur = d
+        bad = False
+        for j in range(2, t):
+            cur = d ^ rot4(cur)
+            if cur.bit_count() != w:
+                bad = True
+                break
+            powers[j] = cur
+        if bad:
+            rej_pow += 1
+            continue
+
+        what = d ^ pairswap(d)
+        wtil = d ^ nibswap(d)
+        seen: set[tuple[int, ...]] = set()
+        stop = False
+        for f1 in (0, 1):
+            for f3 in (0, 1):
+                # a from d: telescoped class sums, blocks (a1, ~a1, a3, ~a3)
+                pre1 = pre3 = 0
+                a = 0
+                for i in range(t):
+                    sh = n - 4 * i - 4
+                    pre1 ^= (what >> (sh + 3)) & 1
+                    pre3 ^= (what >> (sh + 1)) & 1
+                    a1 = f1 ^ pre1
+                    a3 = f3 ^ pre3
+                    a |= (a1 << (sh + 3)) | ((a1 ^ 1) << (sh + 2))
+                    a |= (a3 << (sh + 1)) | ((a3 ^ 1) << sh)
+                # b from a, seed 0: the seed-1 twin is b + u and generates
+                # the same code, so only one seed is scanned here
+                seed2 = 1 ^ ((a >> 3) & 1) ^ ((a >> 1) & 1)
+                pre1 = pre2 = 0
+                b = 0
+                nob = False
+                for i in range(t):
+                    sh = n - 4 * i - 4
+                    pre1 ^= (wtil >> (sh + 3)) & 1
+                    pre2 ^= (wtil >> (sh + 2)) & 1
+                    b1 = pre1
+                    b2 = seed2 ^ pre2
+                    if b1 ^ b2 != 1 ^ ((a >> (sh + 3)) & 1) ^ ((a >> (sh + 1)) & 1):
+                        nob = True
+                        break
+                    b |= (b1 << (sh + 3)) | (b2 << (sh + 2))
+                    b |= ((b1 ^ 1) << (sh + 1)) | ((b2 ^ 1) << sh)
+                if nob:
+                    rej_nob += 1
+                    continue
+                ab = a ^ pairswap(b)
+                if (
+                    d ^ rot4(a) != a ^ pairswap(d)
+                    or d ^ rot4(b) != b ^ nibswap(d)
+                    or ab ^ pairswap(nibswap(a)) != b
+                ):
+                    rej_rel += 1
+                    continue
+                rqa, rqb, rqab = a, b, ab
+                for j in range(t):
+                    base = 4 * j
+                    pj = powers[j]
+                    t_tab[base] = pj
+                    t_tab[base + 1] = pj ^ rqa
+                    t_tab[base + 2] = pj ^ rqb
+                    t_tab[base + 3] = pj ^ rqab
+                    rqa = rot4(rqa)
+                    rqb = rot4(rqb)
+                    rqab = rot4(rqab)
+                ok = True
+                for i in range(n):
+                    ti = t_tab[i]
+                    for j in range(i + 1, n):
+                        if (ti ^ t_tab[j]).bit_count() != w:
+                            ok = False
+                            break
+                    if not ok:
+                        break
+                if not ok:
+                    rej_had += 1
+                    continue
+                sig = tuple(sorted(min(x, x ^ full) for x in t_tab))
+                if sig in seen:
+                    continue
+                seen.add(sig)
+                accepted.append((d, a, b))
+                if first_only:
+                    stop = True
+                    break
+            if stop:
+                break
+        if stop:
+            break
+    return accepted, (examined, rej_pow, rej_nob, rej_rel, rej_had)

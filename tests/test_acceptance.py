@@ -112,6 +112,11 @@ def test_criterion_05_quaternion_t7(t7_result):
     assert res.accepted
     assert {a.profile.rk for a in res.accepted} == {(27, 1)}
     assert res.counters["examined"] == candidate_count("tqu", 7) == 5013288
+    assert res.counters["rejected_power"] == 4677148
+    assert res.counters["rejected_no_b"] == 0
+    assert res.counters["rejected_relation"] == 0
+    assert res.counters["rejected_hadamard"] == 1342880
+    assert len(res.accepted) == res.distinct_code_sets == 840
     assert res.wall_time < 1800
     _report(
         5,

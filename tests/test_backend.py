@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hfpc import _scan_py
-from hfpc.search import candidate_count
-from helpers import all_weight_w, gosper_scan_two_generator
+from hfpc.search import _partition, candidate_count, candidate_stream
+from helpers import _weight_range, all_weight_w, gosper_scan_quaternion, gosper_scan_two_generator
 
 
 def test_gosper_enumerates_fixed_weight():
@@ -68,3 +68,75 @@ def test_rank_counts_stream_candidates_below():
     for tag, need_odd in (("4tu2", 1), ("2t4u", 0)):
         for t in range(1, 11):
             assert _scan_py._rank(1 << (8 * t), 2 * t, need_odd) == candidate_count(tag, t)
+
+
+def _scan_partition(scan, t, chunks, first):
+    """The scan over the search layer's partition of the full range, merged."""
+    accepted, counters = [], [0] * 5
+    for lo, hi in _partition(0, 1 << (4 * t), chunks):
+        acc, ctr = scan(t, lo, hi, first)
+        accepted += acc
+        counters = [x + y for x, y in zip(counters, ctr)]
+        if first and acc:
+            break
+    return accepted, counters
+
+
+def test_quaternion_join_matches_gosper_scan_on_full_range():
+    for t in (1, 3, 5):
+        for first in (False, True):
+            want = gosper_scan_quaternion(t, 0, 1 << (4 * t), first)
+            assert _scan_py.scan_quaternion(t, 0, 1 << (4 * t), first) == want, (t, first)
+            for chunks in (64, 256):
+                assert _scan_partition(_scan_py.scan_quaternion, t, chunks, first) == (
+                    _scan_partition(gosper_scan_quaternion, t, chunks, first)
+                ), (t, chunks, first)
+
+
+def test_quaternion_join_matches_gosper_scan_on_subranges():
+    rng = random.Random(8087473)
+    cases = [(3, -5, (1 << 12) + 5), (5, 7, 7), (5, 900, 100), (3, 0, 1)]
+    for t, span in ((3, 1 << 10), (5, 1 << 14), (7, 1 << 18)):
+        top = 1 << (4 * t)
+        for _ in range(20):
+            lo = rng.randrange(0, top)
+            cases.append((t, lo, lo + rng.randrange(1, span)))
+    for t, lo, hi in cases:
+        for first in (False, True):
+            assert _scan_py.scan_quaternion(t, lo, hi, first) == (
+                gosper_scan_quaternion(t, lo, hi, first)
+            ), (t, lo, hi, first)
+
+
+def test_quaternion_rank_counts_stream_candidates_below():
+    for t in (1, 2, 3):
+        n = 4 * t
+        below = 0
+        for x in range((1 << n) + 1):
+            assert _scan_py._quaternion_rank(x, t) == below, (t, x)
+            strands_even = all(
+                (x & int(m * t, 2)).bit_count() % 2 == 0 for m in ("1000", "0100", "0010")
+            )
+            if x.bit_count() == 2 * t and strands_even:
+                below += 1
+    for t in range(1, 12, 2):
+        assert _scan_py._quaternion_rank(1 << (4 * t), t) == candidate_count("tqu", t)
+
+
+def test_quaternion_b_derivation_and_relations_never_reject():
+    # b1 + b2 and 1 + a1 + a3 carry the same prefix parity of d's nibbles, and
+    # even strands close every telescoped sum, so on any stream word (not only
+    # power survivors) each variant passes the b derivation and the relations:
+    # a variant the a-weight test stops would have failed the Hadamard check
+    words = [(3, v.value) for v in candidate_stream("tqu", 3)]
+    words += [(5, v.value) for i, v in enumerate(candidate_stream("tqu", 5)) if i % 7 == 0]
+    rng = random.Random(47)
+    strands = [int(m * 7, 2) for m in ("1000", "0100", "0010")]
+    for _ in range(4):
+        lo = rng.randrange(1 << 28)
+        for d in _weight_range(lo, lo + (1 << 16), 28, 14):
+            if all((d & m).bit_count() % 2 == 0 for m in strands):
+                words.append((7, d))
+    for t, d in words:
+        _, nob, rel, _ = _scan_py._quaternion_variants(d, t, (True, True), False)
+        assert nob == rel == 0, (t, d)

@@ -96,6 +96,21 @@ def test_run_search_first_mode_t8_counters():
     }
 
 
+def test_run_search_quaternion_t9_first_mode_counters():
+    # first accept of the 1,134,373,680-candidate tqu t = 9 stream, in stream order
+    first = run_search(SearchTask("tqu", 9, mode="first"))
+    assert first.counters == {
+        "examined": 11858,
+        "rejected_power": 11753,
+        "rejected_no_b": 0,
+        "rejected_relation": 0,
+        "rejected_hadamard": 416,
+        "accepted": 1,
+    }
+    assert [int(a.candidate, 2) for a in first.accepted] == [15981887]
+    assert first.accepted[0].profile.rk == (35, 1)
+
+
 def test_run_search_4tu2_t8_exact_counts():
     res = run_search(SearchTask("4tu2", 8, mode="all"))
     assert res.counters == {
