@@ -19,10 +19,11 @@ determines b up to one seed bit resolved by propagating db = bd block by block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .gf2 import BitVector
 from .hadamard import is_hadamard_code
-from .perms import Permutation, apply, compose, from_cycles, identity
+from .perms import Permutation, apply, compose, from_cycles, has_fixed_point, identity
 from .propelinear import PropelinearCode, PropelinearElement
 
 __all__ = [
@@ -32,6 +33,7 @@ __all__ = [
     "Reject",
     "family_spec",
     "family_perms",
+    "element_perms",
     "derive_b_from_a",
     "derive_a_from_d",
     "derive_b_from_a_quaternion",
@@ -86,7 +88,16 @@ def family_spec(tag: str, t: int) -> FamilySpec:
 
 
 def family_perms(tag: str, t: int) -> dict[str, Permutation]:
-    """The fixed generator permutations of each presentation."""
+    """The fixed generator permutations of each presentation.
+
+    The permutations are built once per (tag, t); every call returns a fresh
+    dict, so a caller that changes it cannot change the memoised ones.
+    """
+    return dict(_generator_perms(tag, t))
+
+
+@cache
+def _generator_perms(tag: str, t: int) -> tuple[tuple[str, Permutation], ...]:
     family_spec(tag, t)  # validates tag / parity
     n = 4 * t
     if tag in ("4tu2", "2t22u", "2t4u"):
@@ -95,7 +106,7 @@ def family_perms(tag: str, t: int) -> dict[str, Permutation]:
             [tuple(range(1, 2 * t + 1)), tuple(range(2 * t + 1, 4 * t + 1))],
         )
         pb = from_cycles(n, [(i, i + 2 * t) for i in range(1, 2 * t + 1)])
-        return {"a": pa, "b": pb}
+        return (("a", pa), ("b", pb))
     if tag == "tqu":
         pd = from_cycles(
             n, [tuple(range(r, 4 * t + 1, 4)) for r in (1, 2, 3, 4)]
@@ -105,9 +116,56 @@ def family_perms(tag: str, t: int) -> dict[str, Permutation]:
             n, [(i, i + 2) for i in range(1, 4 * t, 4)]
             + [(i, i + 2) for i in range(2, 4 * t, 4)]
         )
-        return {"d": pd, "a": pa, "b": pb}
+        return (("d", pd), ("a", pa), ("b", pb))
     # cyclic4tu
-    return {"a": from_cycles(n, [tuple(range(1, 4 * t + 1))])}
+    return (("a", from_cycles(n, [tuple(range(1, 4 * t + 1))])),)
+
+
+@cache
+def element_perms(tag: str, t: int) -> tuple[Permutation, ...]:
+    """pi of every element of a (tag, t) code, in the constructors' order.
+
+    The permutation of an element depends only on its exponent label, never
+    on the candidate, so the table is built once per (tag, t) on first use.
+    Element order and labels: (j, k, l) over j, then (k, l), reading a^j b^k
+    u^l for the two-generator families, d^j a^k b^l (k < 4, a^2 = u) for
+    tqu, and a^j u^l for cyclic4tu.
+    """
+    gens = family_perms(tag, t)
+    n = 4 * t
+    if tag == "tqu":
+        pd, pa, pb = gens["d"], gens["a"], gens["b"]
+        q_perms = (identity(n), pb, pa, compose(pa, pb))  # e, b, a, ab
+        chain = _power_chain(pd, t)
+        return tuple(
+            compose(pj, q_perms[2 * (k % 2) + l])
+            for pj in chain
+            for k in range(4)
+            for l in (0, 1)
+        )
+    if tag == "cyclic4tu":
+        return tuple(pj for pj in _power_chain(gens["a"], 4 * t) for _ in (0, 1))
+    pb = gens["b"]
+    out: list[Permutation] = []
+    for pj in _power_chain(gens["a"], 2 * t):
+        pjb = compose(pj, pb)
+        out += (pj, pj, pjb, pjb)
+    return tuple(out)
+
+
+def _power_chain(p: Permutation, count: int) -> list[Permutation]:
+    """p^0 .. p^(count-1) by repeated composition."""
+    chain = [identity(p.degree)]
+    for _ in range(count - 1):
+        chain.append(compose(chain[-1], p))
+    return chain
+
+
+@cache
+def _fixed_point_verdicts(tag: str, t: int) -> tuple[tuple[bool, bool], ...]:
+    """(pi is the identity, pi has a fixed point) for every element_perms entry."""
+    ident = identity(4 * t)
+    return tuple((p == ident, has_fixed_point(p)) for p in element_perms(tag, t))
 
 
 def half_parities(a: BitVector) -> tuple[int, int]:
@@ -234,12 +292,12 @@ def _finish_code(
     values = [e.vector.value for e in elements]
     if len(set(values)) != len(values):
         return Reject("distinct", "duplicate vectors in the element table")
-    ident = identity(n)
-    for e in elements:
+    # elements carry the element_perms permutations, in that order
+    for e, (is_identity, fixed) in zip(elements, _fixed_point_verdicts(tag, t)):
         if e.vector.value in (0, full):
-            if e.perm != ident:
+            if not is_identity:
                 return Reject("full_propelinear", "e or u with nontrivial permutation")
-        elif any(e.perm.images[i] == i + 1 for i in range(n)):
+        elif fixed:
             return Reject("full_propelinear", "fixed point at %s" % e.vector)
     code = PropelinearCode(tag, t, tuple(elements), generators)
     if not is_hadamard_code(code.vectors(), t):
@@ -271,21 +329,17 @@ def _assemble_two_generator(tag: str, t: int, a: BitVector) -> PropelinearCode |
     if bsq != (u if spec.b_square_is_u else BitVector.zero(n)):
         return Reject("relation", "b^2 has the wrong value")
 
-    pa_pows = [identity(n)]
-    for _ in range(2 * t - 1):
-        pa_pows.append(compose(pa_pows[-1], pa))
+    table = element_perms(tag, t)
     elements = []
     rb = b
     for j in range(2 * t):
-        pj = pa_pows[j]
-        pjb = compose(pj, pb)
         wj = powers[j]
         for k, l in ((0, 0), (0, 1), (1, 0), (1, 1)):
             vec = wj if k == 0 else wj ^ rb
             if l:
                 vec = vec ^ u
             elements.append(
-                PropelinearElement(vec, pj if k == 0 else pjb, (j, k, l))
+                PropelinearElement(vec, table[len(elements)], (j, k, l))
             )
         rb = apply(pa, rb)
     e0 = BitVector.zero(n)
@@ -312,12 +366,11 @@ def _assemble_cyclic(t: int, a: BitVector) -> PropelinearCode | Reject:
     if endpoint.value != 0:
         return Reject("order", "a^4t != e")
     u = BitVector.ones(n)
-    pj = identity(n)
+    table = element_perms("cyclic4tu", t)
     elements = []
     for j in range(4 * t):
-        elements.append(PropelinearElement(powers[j], pj, (j, 0, 0)))
-        elements.append(PropelinearElement(powers[j] ^ u, pj, (j, 0, 1)))
-        pj = compose(pj, pa)
+        elements.append(PropelinearElement(powers[j], table[2 * j], (j, 0, 0)))
+        elements.append(PropelinearElement(powers[j] ^ u, table[2 * j + 1], (j, 0, 1)))
     gens = {
         "a": PropelinearElement(a, pa, (1, 0, 0)),
         "u": PropelinearElement(u, identity(n), (0, 0, 1)),
@@ -345,30 +398,19 @@ def _quaternion_code(
     if ab ^ apply(pab, a) != b:
         return Reject("relation", "aba != b")
 
-    q_vecs = {0: {0: BitVector.zero(n), 1: b}, 1: {0: a, 1: ab}}
-    q_perms = {
-        (0, 0): identity(n),
-        (0, 1): pb,
-        (1, 0): pa,
-        (1, 1): pab,
-    }
-    pd_pows = [identity(n)]
-    for _ in range(t - 1):
-        pd_pows.append(compose(pd_pows[-1], pd))
+    table = element_perms("tqu", t)
+    q_vecs = (BitVector.zero(n), b, a, ab)  # e, b, a, ab; pi_d^j applied below
     elements = []
     for j in range(t):
-        pj = pd_pows[j]
         for k in range(4):
             for l in (0, 1):
-                base = apply(pj, q_vecs[k % 2][l])
-                vec = powers[j] ^ base
+                vec = powers[j] ^ q_vecs[2 * (k % 2) + l]
                 if k >= 2:
                     vec = vec ^ u
                 elements.append(
-                    PropelinearElement(
-                        vec, compose(pj, q_perms[(k % 2, l)]), (j, k, l)
-                    )
+                    PropelinearElement(vec, table[len(elements)], (j, k, l))
                 )
+        q_vecs = tuple(apply(pd, v) for v in q_vecs)
     gens = {
         "d": PropelinearElement(d, pd, (1, 0, 0)),
         "a": PropelinearElement(a, pa, (0, 1, 0)),

@@ -53,7 +53,12 @@ def _values(c: Iterable[BitVector]) -> tuple[int, list[int]]:
 
 def is_hadamard_code(c: Iterable[BitVector], t: int) -> bool:
     """Length 4t, 8t words, e and u present, complement-closed, and all
-    distances 2t except complement pairs at 4t."""
+    distances 2t except complement pairs at 4t.
+
+    Once the set is complement-closed, d(v + u, w) = 4t - d(v, w), so the
+    distance condition holds exactly when the 4t representatives v < v + u
+    are pairwise at distance 2t; only those pairs are compared.
+    """
     n, vals = _values(c)
     if n != 4 * t:
         return False
@@ -68,15 +73,11 @@ def is_hadamard_code(c: Iterable[BitVector], t: int) -> bool:
             return False
         if v not in (0, full) and v.bit_count() != 2 * t:
             return False
-    ordered = sorted(vset)
-    for i, v in enumerate(ordered):
-        for w in ordered[i + 1 :]:
-            d = (v ^ w).bit_count()
-            if d == 2 * t:
-                continue
-            if d == 4 * t and v ^ w == full:
-                continue
-            return False
+    reps = sorted(v for v in vset if v < v ^ full)
+    for i, v in enumerate(reps):
+        for w in reps[i + 1 :]:
+            if (v ^ w).bit_count() != 2 * t:
+                return False
     return True
 
 
@@ -189,14 +190,19 @@ class CodeProfile:
 
 def profile(c: PropelinearCode) -> CodeProfile:
     """Rank, kernel and minimum distance of an accepted code, with the proven
-    bounds asserted; a violation raises BoundViolation."""
+    bounds asserted; a violation raises BoundViolation.
+
+    A Hadamard code holds e and words of weight 2t, and every distance is 2t
+    or 4t, so its minimum distance is 2t.
+    """
     vecs = c.vectors()
     n = c.length
     if not is_hadamard_code(vecs, c.t):
         raise ValueError("profile requires a Hadamard code")
-    r = rank(vecs)
-    kb, k = kernel(vecs)
     full = (1 << n) - 1
+    # every word is a representative v < v + u or one plus u: same span
+    r = rank([v for v in vecs if v.value < v.value ^ full] + [BitVector.ones(n)])
+    kb, k = kernel(vecs)
     if not any(row.value == full for row in _kernel_span(kb, n)):
         raise BoundViolation("all-one vector missing from the kernel")
     problems = bound_violations(n, len(vecs), r, k)
@@ -216,7 +222,7 @@ def profile(c: PropelinearCode) -> CodeProfile:
         rank=r,
         kernel_dim=k,
         kernel_basis=tuple(str(row) for row in kb.rows),
-        min_distance=min_distance(vecs),
+        min_distance=2 * c.t,
         generator_a=fmt("a"),
         generator_b=fmt("b"),
         generator_d=fmt("d"),

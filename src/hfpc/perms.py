@@ -78,13 +78,14 @@ def apply(p: Permutation, v: BitVector) -> BitVector:
     n = v.n
     if p.degree != n:
         raise ValueError("degree %d != length %d" % (p.degree, n))
+    images = p.images
     value = 0
     vv = v.value
-    for i, img in enumerate(p.images):
-        # coordinate (i+1) moves to coordinate img
-        bit = (vv >> (n - i - 1)) & 1
-        if bit:
-            value |= 1 << (n - img)
+    while vv:
+        # the lowest set bit is coordinate n - pos; it moves to its image
+        low = vv & -vv
+        value |= 1 << (n - images[n - low.bit_length()])
+        vv ^= low
     return BitVector(n, value)
 
 

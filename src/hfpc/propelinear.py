@@ -88,30 +88,39 @@ def inverse(
 def element_power(x: PropelinearElement, i: int) -> BitVector:
     """Vector of x^i, which is x + pi_x(x) + ... + pi_x^{i-1}(x).
 
-    The star product is associative, so x^i is built by square-and-multiply
-    in O(log i) products.  The products act on the raw vector value and image
-    tuple, the same arithmetic as star_elem without its object construction.
+    Coordinate c of pi_x^k(x) is x at pi_x^{-k}(c), so coordinate c of x^i
+    is the parity of x over c and its i - 1 predecessors on its cycle of
+    pi_x.  On a cycle of length L that is (i // L) times the parity of the
+    whole cycle plus a window of i mod L, read off prefix parities of the
+    cycle written twice: one O(n) pass for any i.
     """
     if i < 1:
         raise ValueError("power must be positive")
     n = x.vector.n
-
-    def product(u: int, p: tuple[int, ...], v: int, q: tuple[int, ...]):
-        # (u, p) * (v, q) = (u + p(v), p q); p moves coordinate k + 1 to p[k]
-        for k, img in enumerate(p):
-            if (v >> (n - k - 1)) & 1:
-                u ^= 1 << (n - img)
-        return u, tuple(p[j - 1] for j in q)
-
-    result = None
-    vec, imgs = x.vector.value, x.perm.images
-    while True:
-        if i & 1:
-            result = (vec, imgs) if result is None else product(*result, vec, imgs)
-        i >>= 1
-        if not i:
-            return BitVector(n, result[0])
-        vec, imgs = product(vec, imgs, vec, imgs)
+    v = x.vector.value
+    images = x.perm.images
+    out = 0
+    seen = [False] * (n + 1)
+    for start in range(1, n + 1):
+        if seen[start]:
+            continue
+        cycle = []  # cycle[m + 1] = pi_x(cycle[m])
+        c = start
+        while not seen[c]:
+            seen[c] = True
+            cycle.append(c)
+            c = images[c - 1]
+        length = len(cycle)
+        prefix = [0]  # prefix[s] = parity of the first s bits of cycle + cycle
+        for c in cycle + cycle:
+            prefix.append(prefix[-1] ^ ((v >> (n - c)) & 1))
+        laps, r = divmod(i, length)
+        whole = prefix[length] & laps & 1
+        for m, c in enumerate(cycle):
+            # window of r bits ending at position m + length of the doubled cycle
+            if whole ^ prefix[m + length + 1] ^ prefix[m + length + 1 - r]:
+                out |= 1 << (n - c)
+    return BitVector(n, out)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ from itertools import combinations
 from hfpc._scan_py import gosper_next, least_geq_with_weight
 from hfpc.families import Reject, assemble, assemble_quaternion_variants
 from hfpc.gf2 import BitVector
+from hfpc.hadamard import _values
+from hfpc.perms import Permutation
 from hfpc.propelinear import PropelinearElement, star_elem
 
 # Known order-16 circulant complex Hadamard rows and the generators of the
@@ -79,6 +81,42 @@ def kernel_all_words(vectors) -> set[int]:
     n = next(iter(vectors)).n
     assert n <= 16, "exhaustive kernel oracle is for short lengths only"
     return {z for z in range(1 << n) if all(x ^ z in vals for x in vals)}
+
+
+def full_pairwise_is_hadamard_code(c, t: int) -> bool:
+    """hfpc.hadamard.is_hadamard_code comparing all C(8t, 2) pairs of words."""
+    n, vals = _values(c)
+    if n != 4 * t:
+        return False
+    full = (1 << n) - 1
+    vset = set(vals)
+    if len(vset) != 8 * t or len(vals) != len(vset):
+        return False
+    if 0 not in vset or full not in vset:
+        return False
+    for v in vset:
+        if v ^ full not in vset:
+            return False
+        if v not in (0, full) and v.bit_count() != 2 * t:
+            return False
+    ordered = sorted(vset)
+    for i, v in enumerate(ordered):
+        for w in ordered[i + 1 :]:
+            d = (v ^ w).bit_count()
+            if d == 2 * t:
+                continue
+            if d == 4 * t and v ^ w == full:
+                continue
+            return False
+    return True
+
+
+def apply_by_coordinates(p: Permutation, v: BitVector) -> BitVector:
+    """pi(v) one coordinate at a time: coordinate i of v moves to pi(i)."""
+    bits = [0] * v.n
+    for i in range(1, v.n + 1):
+        bits[p(i) - 1] = v.bit(i)
+    return BitVector.from_bits(bits)
 
 
 def iterated_star_power(x: PropelinearElement, i: int) -> BitVector:

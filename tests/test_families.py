@@ -5,19 +5,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hfpc.families import (
+    FAMILY_TAGS,
     Reject,
     assemble,
     assemble_quaternion_variants,
     derive_a_from_d,
     derive_b_from_a,
     derive_b_from_a_quaternion,
+    element_perms,
     family_perms,
     family_spec,
     half_parities,
 )
 from hfpc.gf2 import BitVector
 from hfpc.hadamard import is_hadamard_code
-from hfpc.perms import apply
+from hfpc.perms import apply, compose, identity
 from hfpc.propelinear import (
     associated_group_order,
     element_power,
@@ -53,6 +55,67 @@ def test_family_perms_quaternion():
 
 def test_family_perms_cyclic():
     assert str(family_perms("cyclic4tu", 1)["a"]) == "(1,2,3,4)"
+
+
+def _labels(tag: str, t: int) -> list[tuple[int, int, int]]:
+    """Element labels in the order documented by element_perms."""
+    if tag == "tqu":
+        return [(j, k, l) for j in range(t) for k in range(4) for l in (0, 1)]
+    if tag == "cyclic4tu":
+        return [(j, 0, l) for j in range(4 * t) for l in (0, 1)]
+    return [(j, k, l) for j in range(2 * t) for k in (0, 1) for l in (0, 1)]
+
+
+def _perm_by_compose_chain(tag: str, t: int, label):
+    """pi of the element with this label: one compose per generator factor."""
+    gens = family_perms(tag, t)
+    j, k, l = label
+    cyclic = gens["d"] if tag == "tqu" else gens["a"]
+    factors = [cyclic] * j
+    if tag == "tqu":
+        factors += [gens["a"]] * k + [gens["b"]] * l
+    elif tag != "cyclic4tu":
+        factors += [gens["b"]] * k  # pi_u is the identity
+    p = identity(4 * t)
+    for f in factors:
+        p = compose(p, f)
+    return p
+
+
+def test_element_perms_match_compose_chain():
+    for tag in FAMILY_TAGS:
+        for t in range(1, 6):
+            if tag == "tqu" and t % 2 == 0:
+                continue
+            labels = _labels(tag, t)
+            table = element_perms(tag, t)
+            assert len(table) == len(labels) == 8 * t
+            for label, p in zip(labels, table):
+                assert p == _perm_by_compose_chain(tag, t, label)
+
+
+def test_assembled_elements_carry_their_labels_permutation(accepted_pool):
+    for (tag, t), result in accepted_pool.items():
+        for acc in result.accepted[:4]:
+            for e in rebuild_code(acc).elements:
+                assert e.perm == _perm_by_compose_chain(tag, t, e.label)
+
+
+def test_mutating_family_perms_does_not_change_assembly():
+    cases = [("2t4u", 8, V(GENERATOR_A)), ("tqu", 3, V("111011100000"))]
+    for tag, t, cand in cases:
+        before = assemble(tag, t, cand)
+        assert not isinstance(before, Reject)
+        perms = family_perms(tag, t)
+        for name in list(perms):
+            perms[name] = identity(4 * t)
+        perms["x"] = identity(4 * t)
+        after = assemble(tag, t, cand)
+        assert [(e.vector, e.perm, e.label) for e in after.elements] == [
+            (e.vector, e.perm, e.label) for e in before.elements
+        ]
+        assert after.generators == before.generators
+        assert family_perms(tag, t) != perms
 
 
 def test_derive_b_small_cases():

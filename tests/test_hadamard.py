@@ -21,8 +21,11 @@ from helpers import (
     GENERATOR_B,
     PROFILE_A,
     PROFILE_B,
+    all_weight_w,
+    full_pairwise_is_hadamard_code,
     kernel_all_words,
     rank_by_span,
+    rebuild_code,
     span_of,
 )
 
@@ -53,6 +56,60 @@ def test_is_hadamard_code():
     # wrong-weight interloper
     broken = [v for v in EVEN_WEIGHT_4 if v.value != 3] + [V("0001")]
     assert not is_hadamard_code(broken, 1)
+
+
+def _pool_vectors(accepted_pool):
+    for (tag, t), result in accepted_pool.items():
+        for acc in result.accepted:
+            yield t, rebuild_code(acc).vectors()
+
+
+def _random_weight(rng: random.Random, n: int, w: int) -> int:
+    x = 0
+    for p in rng.sample(range(n), w):
+        x |= 1 << p
+    return x
+
+
+def test_representative_check_matches_full_pairwise_oracle(accepted_pool):
+    rng = random.Random(20181)
+    for t, vecs in _pool_vectors(accepted_pool):
+        n = 4 * t
+        full = (1 << n) - 1
+        assert is_hadamard_code(vecs, t) and full_pairwise_is_hadamard_code(vecs, t)
+        # one complement pair {v, v + u} swapped for a weight-2t pair: every
+        # such swap for t <= 2, one random swap above
+        vals = [v.value for v in vecs]
+        inner = [x for x in vals if x not in (0, full)]
+        if t <= 2:
+            swaps = [(v, w) for v in inner for w in all_weight_w(n, 2 * t)]
+        else:
+            swaps = [(rng.choice(inner), _random_weight(rng, n, 2 * t))]
+        for v, w in swaps:
+            swapped = [x for x in vals if x not in (v, v ^ full)] + [w, w ^ full]
+            swapped = [BitVector(n, x) for x in swapped]
+            assert is_hadamard_code(swapped, t) == full_pairwise_is_hadamard_code(swapped, t)
+    verdicts = set()
+    for t in (1, 2, 3, 4, 5):
+        n = 4 * t
+        full = (1 << n) - 1
+        for _ in range(40):
+            reps = {0}
+            while len(reps) < 4 * t:
+                w = _random_weight(rng, n, 2 * t)
+                reps.add(min(w, w ^ full))
+            words = [BitVector(n, x) for r in reps for x in (r, r ^ full)]
+            verdict = is_hadamard_code(words, t)
+            assert verdict == full_pairwise_is_hadamard_code(words, t)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_profile_min_distance_matches_exhaustive(accepted_pool):
+    for (tag, t), result in accepted_pool.items():
+        for acc in result.accepted:
+            code = rebuild_code(acc)
+            assert profile(code).min_distance == min_distance(code.vectors())
 
 
 def test_order16_code_is_hadamard():

@@ -18,6 +18,8 @@ from hfpc.perms import (
     power_perm,
 )
 
+from helpers import apply_by_coordinates
+
 V = BitVector.from_string
 
 
@@ -80,3 +82,12 @@ def test_power_at_order_is_identity(n, data):
     order = lcm(*cycle_lengths)
     assert power_perm(p, order) == identity(n)
     assert compose(p, inverse_perm(p)) == identity(n)
+
+
+@given(st.integers(1, 40), st.data())
+def test_apply_matches_coordinate_oracle(n, data):
+    p = Permutation(tuple(data.draw(st.permutations(range(1, n + 1)))))
+    full = (1 << n) - 1
+    v = data.draw(st.one_of(st.just(0), st.just(full), st.integers(0, full)))
+    for x in (v, 0, full):
+        assert apply(p, BitVector(n, x)) == apply_by_coordinates(p, BitVector(n, x))

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hfpc.gf2 import BitVector
-from hfpc.perms import from_cycles, identity
+from hfpc.perms import Permutation, from_cycles, identity
 from hfpc.propelinear import (
     PropelinearCode,
     PropelinearElement,
@@ -78,6 +80,15 @@ def test_element_power_examples():
         assert element_power(x, i) == iterated_star_power(x, i)
     with pytest.raises(ValueError):
         element_power(x, 0)
+
+
+@given(st.integers(1, 12), st.data())
+def test_element_power_matches_iterated_star_on_any_permutation(n, data):
+    """Mixed cycle lengths and fixed points, powers past several laps."""
+    p = Permutation(tuple(data.draw(st.permutations(range(1, n + 1)))))
+    x = PropelinearElement(BitVector(n, data.draw(st.integers(0, (1 << n) - 1))), p)
+    for i in range(1, 3 * n + 2):
+        assert element_power(x, i) == iterated_star_power(x, i)
 
 
 def _even_weight_generators():
