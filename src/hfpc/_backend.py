@@ -6,14 +6,8 @@ replaces a kernel everywhere (the benchmark's tracer does this).
 
 from __future__ import annotations
 
-from ._scan_py import gosper_next, least_geq_with_weight, scan_quaternion, scan_two_generator
+from ._scan_py import scan_quaternion, scan_two_generator
 
-__all__ = [
-    "BACKEND_NAME",
-    "gosper_next",
-    "least_geq_with_weight",
-    "scan_quaternion",
-    "scan_two_generator",
-]
+__all__ = ["BACKEND_NAME", "scan_quaternion", "scan_two_generator"]
 
 BACKEND_NAME = "pure-python"

@@ -38,32 +38,7 @@ from functools import lru_cache
 from heapq import heappop, heappush, heapreplace
 from math import comb
 
-__all__ = ["scan_two_generator", "scan_quaternion", "gosper_next", "least_geq_with_weight"]
-
-
-def gosper_next(v: int) -> int:
-    """Next integer with the same popcount (Gosper's hack)."""
-    c = v & -v
-    r = v + c
-    return r | (((v ^ r) >> 2) // c)
-
-
-def least_geq_with_weight(lo: int, n: int, w: int) -> int | None:
-    """Smallest x >= lo with exactly w bits among the low n, or None."""
-    if lo >= (1 << n):
-        return None
-    if lo < 0:
-        lo = 0
-    if lo.bit_count() == w:
-        return lo
-    for i in range(n):
-        if (lo >> i) & 1:
-            continue
-        prefix = lo >> (i + 1)
-        need = w - prefix.bit_count() - 1
-        if 0 <= need <= i:
-            return (prefix << (i + 1)) | (1 << i) | ((1 << need) - 1)
-    return None
+__all__ = ["scan_two_generator", "scan_quaternion"]
 
 
 _FIELD = 6  # bits per weight in a packed signature; weights are at most 2t < 64

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import _backend
 from .cchm import (
@@ -22,7 +21,7 @@ from .cchm import (
     code_to_cchm,
     is_cchm,
 )
-from .families import SEARCH_TAGS, Reject, assemble
+from .families import SEARCH_TAGS, Reject, assemble, assemble_quaternion_explicit
 from .gf2 import BitVector
 from .hadamard import BoundViolation, is_hadamard_code, kernel, profile, rank
 from .search import (
@@ -46,18 +45,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-@dataclass
-class RunConfig:
-    command: str
-    family: str | None = None
-    t: int | None = None
-    mode: str = "first"
-    workers: int | None = None
-    output: str | None = None
-    deep: bool = False
-    checkpoint: str | None = None
-
-
 def _dump(obj: dict, out) -> None:
     out.write(json.dumps(obj) + "\n")
 
@@ -72,37 +59,41 @@ def _parse_vector(text: str, n: int, parser: _Parser) -> BitVector:
     return v
 
 
-def cmd_search(cfg: RunConfig, parser: _Parser) -> int:
-    count = candidate_count(cfg.family, cfg.t)
-    if count > DEEP_GATE and not cfg.deep:
+def cmd_search(args, parser: _Parser) -> int:
+    count = candidate_count(args.family, args.t)
+    if count > DEEP_GATE and not args.deep:
         parser.error(
             "family %s t=%d has %d candidates; pass --deep to run it"
-            % (cfg.family, cfg.t, count)
+            % (args.family, args.t, count)
         )
-    task = SearchTask(cfg.family, cfg.t, mode=cfg.mode)
+    mode = "all" if args.all else "first"
+    task = SearchTask(args.family, args.t, mode=mode)
     try:
-        result = run_search(task, workers=cfg.workers, checkpoint=cfg.checkpoint)
+        # --workers 0, like no --workers, means the default
+        result = run_search(
+            task, workers=args.workers or default_workers(), checkpoint=args.checkpoint
+        )
     except BoundViolation as exc:
         sys.stderr.write("bound violation: %s\n" % exc)
         return INTERNAL_EXIT
     # codes of this family beyond t = 8 would contradict the nonexistence
     # conjecture for circulant complex Hadamard matrices; dump them in full
-    flag_counterexamples = cfg.family == "2t4u" and cfg.t > 8
-    out = open(cfg.output, "w") if cfg.output else sys.stdout
+    flag_counterexamples = args.family == "2t4u" and args.t > 8
+    out = open(args.output, "w") if args.output else sys.stdout
     try:
         for acc in result.accepted:
             record = acc.profile.to_json_dict()
             if flag_counterexamples:
                 record["conjecture_counterexample_candidate"] = True
                 record["codewords"] = sorted(
-                    format(v, "0%db" % (4 * cfg.t)) for v in acc.vector_values
+                    format(v, "0%db" % (4 * args.t)) for v in acc.vector_values
                 )
             _dump(record, out)
         summary = {
             "type": "summary",
             "family": result.family,
             "t": result.t,
-            "mode": cfg.mode,
+            "mode": mode,
             "candidates": count,
             "counters": {k: result.counters[k] for k in sorted(result.counters)},
             "accepted": len(result.accepted),
@@ -112,7 +103,7 @@ def cmd_search(cfg: RunConfig, parser: _Parser) -> int:
             summary["conjecture_counterexample_candidates"] = len(result.accepted)
         _dump(summary, out)
     finally:
-        if cfg.output:
+        if args.output:
             out.close()
     sys.stderr.write(
         "search %s t=%d: %d accepted (%d distinct) in %.2fs [%s backend]\n"
@@ -133,8 +124,6 @@ def cmd_verify(args, parser: _Parser) -> int:
     try:
         if args.family == "tqu":
             if args.a and args.b and args.d:
-                from .families import assemble_quaternion_explicit
-
                 code = assemble_quaternion_explicit(
                     args.t,
                     _parse_vector(args.d, n, parser),
@@ -305,7 +294,6 @@ def build_parser() -> _Parser:
     p_to = cchm_sub.add_parser("to-code")
     p_to.add_argument("--row", required=True)
     p_from = cchm_sub.add_parser("from-code")
-    p_from.add_argument("--family", default="2t4u", choices=["2t4u"])
     p_from.add_argument("--t", required=True, type=int)
     p_from.add_argument("--a", required=True)
 
@@ -329,17 +317,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "search":
             if args.t < 1:
                 parser.error("t must be positive")
-            cfg = RunConfig(
-                command="search",
-                family=args.family,
-                t=args.t,
-                mode="all" if args.all else "first",
-                workers=args.workers if args.workers else default_workers(),
-                output=args.output,
-                deep=args.deep,
-                checkpoint=args.checkpoint,
-            )
-            return cmd_search(cfg, parser)
+            return cmd_search(args, parser)
         if args.command == "verify":
             return cmd_verify(args, parser)
         if args.command == "cchm":

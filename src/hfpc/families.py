@@ -39,7 +39,7 @@ __all__ = [
     "derive_b_from_a_quaternion",
     "assemble",
     "assemble_quaternion_variants",
-    "half_parities",
+    "assemble_quaternion_explicit",
 ]
 
 FAMILY_TAGS = ("4tu2", "2t22u", "2t4u", "tqu", "cyclic4tu")
@@ -62,8 +62,7 @@ class FamilySpec:
     tag: str
     t: int
     length: int
-    # order of the cyclic generator (a, or d for tqu) and its power target
-    cyclic_order: int
+    # a^2t = u (else e) for the two-generator families
     cyclic_power_is_u: bool
     b_square_is_u: bool | None
 
@@ -77,14 +76,14 @@ def family_spec(tag: str, t: int) -> FamilySpec:
         raise ValueError("quaternion family requires odd t")
     n = 4 * t
     if tag == "4tu2":
-        return FamilySpec(tag, t, n, 2 * t, True, False)
+        return FamilySpec(tag, t, n, True, False)
     if tag == "2t22u":
-        return FamilySpec(tag, t, n, 2 * t, False, False)
+        return FamilySpec(tag, t, n, False, False)
     if tag == "2t4u":
-        return FamilySpec(tag, t, n, 2 * t, False, True)
+        return FamilySpec(tag, t, n, False, True)
     if tag == "tqu":
-        return FamilySpec(tag, t, n, t, False, True)
-    return FamilySpec(tag, t, n, 4 * t, False, None)  # cyclic4tu
+        return FamilySpec(tag, t, n, False, True)
+    return FamilySpec(tag, t, n, False, None)  # cyclic4tu
 
 
 def family_perms(tag: str, t: int) -> dict[str, Permutation]:
@@ -166,14 +165,6 @@ def _fixed_point_verdicts(tag: str, t: int) -> tuple[tuple[bool, bool], ...]:
     """(pi is the identity, pi has a fixed point) for every element_perms entry."""
     ident = identity(4 * t)
     return tuple((p == ident, has_fixed_point(p)) for p in element_perms(tag, t))
-
-
-def half_parities(a: BitVector) -> tuple[int, int]:
-    """Weight parities of the two halves; a^2t = u iff both are odd."""
-    half = a.n // 2
-    hi = a.value >> half
-    lo = a.value & ((1 << half) - 1)
-    return hi.bit_count() & 1, lo.bit_count() & 1
 
 
 def derive_b_from_a(a: BitVector, tag: str, t: int) -> BitVector:

@@ -8,9 +8,6 @@ from typing import Iterable
 __all__ = [
     "BitVector",
     "BitMatrix",
-    "weight",
-    "distance",
-    "complement",
     "rank_gf2",
     "row_space_basis",
 ]
@@ -57,13 +54,6 @@ class BitVector:
     def ones(cls, n: int) -> BitVector:
         return cls(n, (1 << n) - 1)
 
-    @classmethod
-    def alternating(cls, n: int) -> BitVector:
-        """The word (1,0,1,0,...) of even length n."""
-        if n % 2:
-            raise ValueError("alternating word needs even length")
-        return cls(n, int("10" * (n // 2), 2))
-
     def bit(self, i: int) -> int:
         """Coordinate i, 1-based."""
         if not 1 <= i <= self.n:
@@ -90,21 +80,6 @@ class BitVector:
         return format(self.value, "0%db" % self.n)
 
 
-def weight(v: BitVector) -> int:
-    """Hamming weight: number of 1 coordinates."""
-    return v.weight()
-
-
-def distance(v: BitVector, w: BitVector) -> int:
-    """Hamming distance, defined as weight(v + w)."""
-    return (v ^ w).weight()
-
-
-def complement(v: BitVector) -> BitVector:
-    """v + u, where u is the all-one word."""
-    return v.complement()
-
-
 @dataclass(frozen=True)
 class BitMatrix:
     """Rectangular list of equal-length rows; may have zero rows."""
@@ -124,34 +99,38 @@ class BitMatrix:
             raise ValueError("cannot infer width from zero rows")
         return cls(vecs[0].n, vecs)
 
-    @classmethod
-    def from_vectors(cls, width: int, rows: Iterable[BitVector]) -> BitMatrix:
-        return cls(width, tuple(rows))
-
     def __len__(self) -> int:
         return len(self.rows)
 
 
-def _echelon(values: list[int]) -> list[int]:
-    """Reduced row-echelon form over GF(2); pivots scan from the high bit."""
-    basis: list[int] = []  # kept in descending pivot order
+def _echelon(values: Iterable[int]) -> dict[int, int]:
+    """Row-echelon basis over GF(2): pivot -> the basis row whose leading
+    (highest) set bit is that pivot, pivots given as bit lengths."""
+    rows: dict[int, int] = {}
     for v in values:
-        for b in basis:
-            if v ^ b < v:
-                v ^= b
-        if v:
-            basis = [b ^ v if (b ^ v) < b else b for b in basis]
-            basis.append(v)
-            basis.sort(reverse=True)
-    return basis
+        while v:
+            pivot = v.bit_length()
+            b = rows.get(pivot)
+            if b is None:
+                rows[pivot] = v
+                break
+            v ^= b
+    return rows
 
 
 def rank_gf2(m: BitMatrix) -> int:
     """Dimension of the GF(2) span of the rows."""
-    return len(_echelon([r.value for r in m.rows]))
+    return len(_echelon(r.value for r in m.rows))
 
 
 def row_space_basis(m: BitMatrix) -> BitMatrix:
     """Reduced-echelon basis of the row space, pivots left to right."""
-    basis = _echelon([r.value for r in m.rows])
-    return BitMatrix(m.width, tuple(BitVector(m.width, v) for v in basis))
+    rows = sorted(_echelon(r.value for r in m.rows).values(), reverse=True)
+    # clear each row's leading bit from the rows above it, lowest pivot first;
+    # a row cleared this way keeps its own leading bit, so the order holds
+    for i in range(len(rows) - 1, 0, -1):
+        lead = 1 << (rows[i].bit_length() - 1)
+        for j in range(i):
+            if rows[j] & lead:
+                rows[j] ^= rows[i]
+    return BitMatrix(m.width, tuple(BitVector(m.width, v) for v in rows))

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .gf2 import BitMatrix, BitVector, rank_gf2, row_space_basis
+from .gf2 import BitMatrix, BitVector, _echelon, row_space_basis
 from .propelinear import PropelinearCode
 
 __all__ = [
@@ -15,10 +15,8 @@ __all__ = [
     "is_hadamard_code",
     "kernel",
     "rank",
-    "min_distance",
     "profile",
     "bound_violations",
-    "matrix_from_code_rows",
 ]
 
 
@@ -100,23 +98,8 @@ def kernel(c: Iterable[BitVector]) -> tuple[BitMatrix, int]:
 
 def rank(c: Iterable[BitVector]) -> int:
     """Dimension of the GF(2) linear span of the code."""
-    n, vals = _values(c)
-    return rank_gf2(BitMatrix(n, tuple(BitVector(n, v) for v in vals)))
-
-
-def min_distance(c: Iterable[BitVector]) -> int:
-    """Exhaustive minimum pairwise distance."""
     _, vals = _values(c)
-    vals = sorted(set(vals))
-    best = None
-    for i, v in enumerate(vals):
-        for w in vals[i + 1 :]:
-            d = (v ^ w).bit_count()
-            if best is None or d < best:
-                best = d
-    if best is None:
-        raise ValueError("need at least two codewords")
-    return best
+    return len(_echelon(vals))
 
 
 def _two_adic(n: int) -> tuple[int, int]:
@@ -234,8 +217,3 @@ def _kernel_span(basis: BitMatrix, n: int) -> list[BitVector]:
     for row in basis.rows:
         out += [v ^ row for v in out]
     return out
-
-
-def matrix_from_code_rows(rows: Sequence[BitVector]) -> list[list[int]]:
-    """Binary rows to a +-1 matrix under the convention 0 -> +1, 1 -> -1."""
-    return [[-1 if b else 1 for b in r.bits()] for r in rows]

@@ -12,8 +12,6 @@ __all__ = [
     "from_cycles",
     "apply",
     "compose",
-    "inverse_perm",
-    "power_perm",
     "has_fixed_point",
 ]
 
@@ -94,27 +92,6 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     if p.degree != q.degree:
         raise ValueError("degree mismatch")
     return Permutation(tuple(p.images[qi - 1] for qi in q.images))
-
-
-def inverse_perm(p: Permutation) -> Permutation:
-    inv = [0] * p.degree
-    for i, img in enumerate(p.images):
-        inv[img - 1] = i + 1
-    return Permutation(tuple(inv))
-
-
-def power_perm(p: Permutation, k: int) -> Permutation:
-    """k-fold composition; k may be negative."""
-    if k < 0:
-        return power_perm(inverse_perm(p), -k)
-    result = identity(p.degree)
-    base = p
-    while k:
-        if k & 1:
-            result = compose(result, base)
-        base = compose(base, base)
-        k >>= 1
-    return result
 
 
 def has_fixed_point(p: Permutation) -> bool:

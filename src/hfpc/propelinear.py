@@ -1,48 +1,32 @@
-"""Propelinear group structure: the star operation, labeled elements, closure.
+"""Propelinear group structure: the star operation, labeled elements, and
+the propelinearity predicates.
 
 A propelinear code attaches a coordinate permutation pi_x to every codeword x
 so that x * y = x + pi_x(y) closes into a group with pi_{x*y} = pi_x pi_y.
 Elements here carry an exponent label (j, k, l) recording how they factor over
-the generators of their family presentation, so discrete logarithms are plain
-dictionary lookups later on.
+the generators of their family presentation (see hfpc.families).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
 
 from .gf2 import BitVector
-from .perms import Permutation, apply, compose, has_fixed_point, identity, inverse_perm
+from .perms import Permutation, apply, compose, has_fixed_point, identity
 
 __all__ = [
     "PropelinearElement",
     "PropelinearCode",
-    "SizeMismatch",
-    "VectorCollision",
     "star",
     "star_elem",
-    "inverse",
     "element_power",
-    "generate_group",
     "is_propelinear",
     "is_full_propelinear",
     "associated_group_order",
-    "label_product",
-    "label_inverse",
 ]
 
 Label = tuple[int, int, int]
-LabelRule = Callable[[Label, Label], Label]
-
-
-class SizeMismatch(Exception):
-    """Group closure did not reach exactly the expected size."""
-
-
-class VectorCollision(Exception):
-    """Two group elements with different permutations share a vector."""
 
 
 @dataclass(frozen=True)
@@ -61,28 +45,9 @@ def star(x: PropelinearElement, y: BitVector) -> BitVector:
     return x.vector ^ apply(x.perm, y)
 
 
-def star_elem(
-    x: PropelinearElement,
-    y: PropelinearElement,
-    label_rule: LabelRule | None = None,
-) -> PropelinearElement:
-    """Group product: vector x + pi_x(y), permutation pi_x pi_y."""
-    label = None
-    if label_rule is not None and x.label is not None and y.label is not None:
-        label = label_rule(x.label, y.label)
-    return PropelinearElement(star(x, y.vector), compose(x.perm, y.perm), label)
-
-
-def inverse(
-    x: PropelinearElement,
-    label_inv: Callable[[Label], Label] | None = None,
-) -> PropelinearElement:
-    """Group inverse: pi_x^{-1}(x) paired with pi_x^{-1}."""
-    pinv = inverse_perm(x.perm)
-    label = None
-    if label_inv is not None and x.label is not None:
-        label = label_inv(x.label)
-    return PropelinearElement(apply(pinv, x.vector), pinv, label)
+def star_elem(x: PropelinearElement, y: PropelinearElement) -> PropelinearElement:
+    """Group product: vector x + pi_x(y), permutation pi_x pi_y (unlabeled)."""
+    return PropelinearElement(star(x, y.vector), compose(x.perm, y.perm))
 
 
 def element_power(x: PropelinearElement, i: int) -> BitVector:
@@ -123,51 +88,6 @@ def element_power(x: PropelinearElement, i: int) -> BitVector:
     return BitVector(n, out)
 
 
-# ---------------------------------------------------------------------------
-# Exponent label algebra for the family presentations.
-#
-# Families '4tu2', '2t22u', '2t4u', 'cyclic4tu' read (j, k, l) as a^j b^k u^l.
-# Family 'tqu' reads (j, k, l) as d^j a^k b^l with k mod 4 and u = a^2.
-# ---------------------------------------------------------------------------
-
-
-def label_product(tag: str, t: int, x: Label, y: Label) -> Label:
-    j1, k1, l1 = x
-    j2, k2, l2 = y
-    if tag == "4tu2":
-        s = j1 + j2
-        return (s % (2 * t), k1 ^ k2, (l1 + l2 + s // (2 * t)) % 2)
-    if tag == "2t22u":
-        return ((j1 + j2) % (2 * t), k1 ^ k2, l1 ^ l2)
-    if tag == "2t4u":
-        return ((j1 + j2) % (2 * t), k1 ^ k2, l1 ^ l2 ^ (k1 & k2))
-    if tag == "tqu":
-        k = k1 + (k2 if l1 == 0 else -k2) + 2 * (l1 & l2)
-        return ((j1 + j2) % t, k % 4, l1 ^ l2)
-    if tag == "cyclic4tu":
-        return ((j1 + j2) % (4 * t), 0, l1 ^ l2)
-    raise ValueError("unknown family tag %r" % tag)
-
-
-def label_inverse(tag: str, t: int, x: Label) -> Label:
-    j, k, l = x
-    if tag == "4tu2":
-        total = (j + 2 * t * l) % (4 * t)
-        inv = (4 * t - total) % (4 * t)
-        return (inv % (2 * t), k, inv // (2 * t))
-    if tag == "2t22u":
-        return ((-j) % (2 * t), k, l)
-    if tag == "2t4u":
-        return ((-j) % (2 * t), k, l ^ k)
-    if tag == "tqu":
-        if l == 0:
-            return ((-j) % t, (-k) % 4, 0)
-        return ((-j) % t, (k + 2) % 4, 1)
-    if tag == "cyclic4tu":
-        return ((-j) % (4 * t), 0, l)
-    raise ValueError("unknown family tag %r" % tag)
-
-
 @dataclass(frozen=True, eq=False)
 class PropelinearCode:
     """A full group of 8t labeled elements plus its family metadata."""
@@ -190,76 +110,11 @@ class PropelinearCode:
         return frozenset(e.vector.value for e in self.elements)
 
     @cached_property
-    def exponent_index(self) -> dict[int, Label]:
-        return {e.vector.value: e.label for e in self.elements}
-
-    @cached_property
     def _element_by_vector(self) -> dict[int, PropelinearElement]:
         return {e.vector.value: e for e in self.elements}
 
-    def element_for(self, v: BitVector) -> PropelinearElement:
-        return self._element_by_vector[v.value]
-
     def vectors(self) -> list[BitVector]:
         return [e.vector for e in self.elements]
-
-
-def generate_group(
-    generators: Sequence[PropelinearElement],
-    expected_size: int,
-    family: str | None = None,
-    t: int | None = None,
-    label_rule: LabelRule | None = None,
-) -> PropelinearCode:
-    """Breadth-first closure of the generators under the star product.
-
-    The closure is keyed by vector: reaching a known vector with a different
-    permutation raises VectorCollision (the candidate is degenerate), and a
-    closure whose size is not exactly expected_size raises SizeMismatch.
-    Work is capped at expected_size so runaway closures fail fast.
-    """
-    if not generators:
-        raise ValueError("need at least one generator")
-    n = generators[0].vector.n
-    if any(g.vector.n != n for g in generators):
-        raise ValueError("generators must share degree")
-    if t is None:
-        t = n // 4
-    if family is not None and label_rule is None:
-        label_rule = lambda x, y: label_product(family, t, x, y)
-
-    e = PropelinearElement(
-        BitVector.zero(n), identity(n), (0, 0, 0) if label_rule else None
-    )
-    seen: dict[int, PropelinearElement] = {e.vector.value: e}
-    order: list[PropelinearElement] = [e]
-    frontier = [e]
-    while frontier:
-        nxt: list[PropelinearElement] = []
-        for x in frontier:
-            for g in generators:
-                z = star_elem(x, g, label_rule)
-                prev = seen.get(z.vector.value)
-                if prev is not None:
-                    if prev.perm != z.perm:
-                        raise VectorCollision(
-                            "vector %s carries two permutations" % z.vector
-                        )
-                    continue
-                if len(order) == expected_size:
-                    raise SizeMismatch(
-                        "closure exceeds expected size %d" % expected_size
-                    )
-                seen[z.vector.value] = z
-                order.append(z)
-                nxt.append(z)
-        frontier = nxt
-    if len(order) != expected_size:
-        raise SizeMismatch(
-            "closure has %d elements, expected %d" % (len(order), expected_size)
-        )
-    gen_map = {("g%d" % i): g for i, g in enumerate(generators)}
-    return PropelinearCode(family, t, tuple(order), gen_map)
 
 
 def is_propelinear(c: PropelinearCode) -> bool:

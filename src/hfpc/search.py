@@ -2,11 +2,12 @@
 parallelism, deduplication, and reproduction of the results table.
 
 The raw candidate space for (family, t) is the integer interval [0, 2^4t) in
-the BitVector layout; the stream filters it down to plausible generators
-(weight 2t plus the cheap order filters).  Work is split into contiguous
-subranges merged in range order, so results are identical for any worker
-count; accepted candidates are re-assembled through the reference constructors
-in hfpc.families before being reported, which cross-checks the scan kernels.
+the BitVector layout; the candidate stream is its ascending subset of
+plausible generators (weight 2t plus the cheap order filters).  Work is split
+into contiguous subranges merged in range order, so results are identical for
+any worker count; accepted candidates are re-assembled through the reference
+constructors in hfpc.families before being reported, which cross-checks the
+scan kernels.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from math import comb
-from typing import Callable, Iterator
+from typing import Callable
 
 from . import _backend
 from .families import (
@@ -38,7 +39,6 @@ __all__ = [
     "AcceptedCode",
     "SearchResult",
     "TableCell",
-    "candidate_stream",
     "candidate_count",
     "run_search",
     "dedup",
@@ -126,40 +126,6 @@ def candidate_count(tag: str, t: int) -> int:
                         total += comb(t, w1) * comb(t, w2) * comb(t, w3) * comb(t, w4)
         return total
     raise ValueError("no candidate stream for family %r" % tag)
-
-
-def candidate_stream(tag: str, t: int) -> Iterator[BitVector]:
-    """Filtered candidates in ascending lexicographic order."""
-    n = 4 * t
-    w = 2 * t
-    if tag in ("4tu2", "2t22u", "2t4u"):
-        need = 1 if tag == "4tu2" else 0
-        half = 2 * t
-
-        def keep(v: int) -> bool:
-            return ((v >> half).bit_count() & 1) == need
-
-    elif tag == "tqu":
-        if t % 2 == 0:
-            raise ValueError("quaternion family requires odd t")
-        m1 = int("1000" * t, 2)
-        m2, m3 = m1 >> 1, m1 >> 2
-
-        def keep(v: int) -> bool:
-            return (
-                (v & m1).bit_count() & 1
-                or (v & m2).bit_count() & 1
-                or (v & m3).bit_count() & 1
-            ) == 0
-
-    else:
-        raise ValueError("no candidate stream for family %r" % tag)
-    v = _backend.least_geq_with_weight(0, n, w)
-    top = 1 << n
-    while v is not None and v < top:
-        if keep(v):
-            yield BitVector(n, v)
-        v = _backend.gosper_next(v)
 
 
 def _chunk_count(workers: int) -> int:

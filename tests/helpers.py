@@ -2,21 +2,22 @@
 
 The oracles here deliberately avoid the library's optimized code paths:
 rank by explicit span enumeration, kernel by trying every word of F^n,
-search by running the reference constructor on the whole 2^4t space, and the
-two-generator and quaternion scans by visiting every candidate with Gosper's
-hack.
+minimum distance over every pair, the code of a generator set by closing it
+under the star product, search by running the reference constructor on the
+whole 2^4t space, and the candidate stream and the two-generator and
+quaternion scans by visiting every candidate with Gosper's hack.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Callable, Iterator, Sequence
 
-from hfpc._scan_py import gosper_next, least_geq_with_weight
 from hfpc.families import Reject, assemble, assemble_quaternion_variants
 from hfpc.gf2 import BitVector
 from hfpc.hadamard import _values
-from hfpc.perms import Permutation
-from hfpc.propelinear import PropelinearElement, star_elem
+from hfpc.perms import Permutation, identity
+from hfpc.propelinear import Label, PropelinearCode, PropelinearElement, star_elem
 
 # Known order-16 circulant complex Hadamard rows and the generators of the
 # corresponding length-32 codes, with their (rank, kernel dimension).
@@ -111,12 +112,133 @@ def full_pairwise_is_hadamard_code(c, t: int) -> bool:
     return True
 
 
+def min_distance(c) -> int:
+    """Exhaustive minimum pairwise distance."""
+    _, vals = _values(c)
+    vals = sorted(set(vals))
+    best = None
+    for i, v in enumerate(vals):
+        for w in vals[i + 1 :]:
+            d = (v ^ w).bit_count()
+            if best is None or d < best:
+                best = d
+    if best is None:
+        raise ValueError("need at least two codewords")
+    return best
+
+
 def apply_by_coordinates(p: Permutation, v: BitVector) -> BitVector:
     """pi(v) one coordinate at a time: coordinate i of v moves to pi(i)."""
     bits = [0] * v.n
     for i in range(1, v.n + 1):
         bits[p(i) - 1] = v.bit(i)
     return BitVector.from_bits(bits)
+
+
+# ---------------------------------------------------------------------------
+# Group closure: the code generated by a set of elements, by breadth-first
+# search under the star product, with the exponent labels of the family
+# presentations carried along.
+#
+# Families '4tu2', '2t22u', '2t4u', 'cyclic4tu' read (j, k, l) as a^j b^k u^l.
+# Family 'tqu' reads (j, k, l) as d^j a^k b^l with k mod 4 and u = a^2.
+# ---------------------------------------------------------------------------
+
+LabelRule = Callable[[Label, Label], Label]
+
+
+class SizeMismatch(Exception):
+    """Group closure did not reach exactly the expected size."""
+
+
+class VectorCollision(Exception):
+    """Two group elements with different permutations share a vector."""
+
+
+def label_product(tag: str, t: int, x: Label, y: Label) -> Label:
+    j1, k1, l1 = x
+    j2, k2, l2 = y
+    if tag == "4tu2":
+        s = j1 + j2
+        return (s % (2 * t), k1 ^ k2, (l1 + l2 + s // (2 * t)) % 2)
+    if tag == "2t22u":
+        return ((j1 + j2) % (2 * t), k1 ^ k2, l1 ^ l2)
+    if tag == "2t4u":
+        return ((j1 + j2) % (2 * t), k1 ^ k2, l1 ^ l2 ^ (k1 & k2))
+    if tag == "tqu":
+        k = k1 + (k2 if l1 == 0 else -k2) + 2 * (l1 & l2)
+        return ((j1 + j2) % t, k % 4, l1 ^ l2)
+    if tag == "cyclic4tu":
+        return ((j1 + j2) % (4 * t), 0, l1 ^ l2)
+    raise ValueError("unknown family tag %r" % tag)
+
+
+def labelled_star(
+    x: PropelinearElement, y: PropelinearElement, label_rule: LabelRule | None
+) -> PropelinearElement:
+    """star_elem, with the product label from label_rule when both have one."""
+    z = star_elem(x, y)
+    if label_rule is None or x.label is None or y.label is None:
+        return z
+    return PropelinearElement(z.vector, z.perm, label_rule(x.label, y.label))
+
+
+def generate_group(
+    generators: Sequence[PropelinearElement],
+    expected_size: int,
+    family: str | None = None,
+    t: int | None = None,
+    label_rule: LabelRule | None = None,
+) -> PropelinearCode:
+    """Breadth-first closure of the generators under the star product.
+
+    The closure is keyed by vector: reaching a known vector with a different
+    permutation raises VectorCollision (the candidate is degenerate), and a
+    closure whose size is not exactly expected_size raises SizeMismatch.
+    Work is capped at expected_size so runaway closures fail fast.
+    """
+    if not generators:
+        raise ValueError("need at least one generator")
+    n = generators[0].vector.n
+    if any(g.vector.n != n for g in generators):
+        raise ValueError("generators must share degree")
+    if t is None:
+        t = n // 4
+    if family is not None and label_rule is None:
+        label_rule = lambda x, y: label_product(family, t, x, y)
+
+    e = PropelinearElement(
+        BitVector.zero(n), identity(n), (0, 0, 0) if label_rule else None
+    )
+    seen: dict[int, PropelinearElement] = {e.vector.value: e}
+    order: list[PropelinearElement] = [e]
+    frontier = [e]
+    while frontier:
+        nxt: list[PropelinearElement] = []
+        for x in frontier:
+            for g in generators:
+                z = labelled_star(x, g, label_rule)
+                prev = seen.get(z.vector.value)
+                if prev is not None:
+                    if prev.perm != z.perm:
+                        raise VectorCollision(
+                            "vector %s carries two permutations" % z.vector
+                        )
+                    continue
+                if len(order) == expected_size:
+                    raise SizeMismatch(
+                        "closure exceeds expected size %d" % expected_size
+                    )
+                seen[z.vector.value] = z
+                order.append(z)
+                nxt.append(z)
+        frontier = nxt
+    if len(order) != expected_size:
+        raise SizeMismatch(
+            "closure has %d elements, expected %d" % (len(order), expected_size)
+        )
+    gen_map = {("g%d" % i): g for i, g in enumerate(generators)}
+    return PropelinearCode(family, t, tuple(order), gen_map)
 
 
 def iterated_star_power(x: PropelinearElement, i: int) -> BitVector:
@@ -190,6 +312,62 @@ def all_weight_w(n: int, w: int) -> list[int]:
             x |= 1 << p
         out.append(x)
     return sorted(out)
+
+
+def gosper_next(v: int) -> int:
+    """Next integer with the same popcount (Gosper's hack)."""
+    c = v & -v
+    r = v + c
+    return r | (((v ^ r) >> 2) // c)
+
+
+def least_geq_with_weight(lo: int, n: int, w: int) -> int | None:
+    """Smallest x >= lo with exactly w bits among the low n, or None."""
+    if lo >= (1 << n):
+        return None
+    if lo < 0:
+        lo = 0
+    if lo.bit_count() == w:
+        return lo
+    for i in range(n):
+        if (lo >> i) & 1:
+            continue
+        prefix = lo >> (i + 1)
+        need = w - prefix.bit_count() - 1
+        if 0 <= need <= i:
+            return (prefix << (i + 1)) | (1 << i) | ((1 << need) - 1)
+    return None
+
+
+def candidate_stream(tag: str, t: int) -> Iterator[BitVector]:
+    """Filtered candidates in ascending lexicographic order, one Gosper pass."""
+    n = 4 * t
+    w = 2 * t
+    if tag in ("4tu2", "2t22u", "2t4u"):
+        need = 1 if tag == "4tu2" else 0
+        half = 2 * t
+
+        def keep(v: int) -> bool:
+            return ((v >> half).bit_count() & 1) == need
+
+    elif tag == "tqu":
+        if t % 2 == 0:
+            raise ValueError("quaternion family requires odd t")
+        m1 = int("1000" * t, 2)
+        m2, m3 = m1 >> 1, m1 >> 2
+
+        def keep(v: int) -> bool:
+            return (
+                (v & m1).bit_count() & 1
+                or (v & m2).bit_count() & 1
+                or (v & m3).bit_count() & 1
+            ) == 0
+
+    else:
+        raise ValueError("no candidate stream for family %r" % tag)
+    for v in _weight_range(0, 1 << n, n, w):
+        if keep(v):
+            yield BitVector(n, v)
 
 
 def _weight_range(lo: int, hi: int, n: int, w: int):

@@ -6,17 +6,25 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hfpc import _scan_py
-from hfpc.search import _partition, candidate_count, candidate_stream
-from helpers import _weight_range, all_weight_w, gosper_scan_quaternion, gosper_scan_two_generator
+from hfpc.search import _partition, candidate_count
+from helpers import (
+    _weight_range,
+    all_weight_w,
+    candidate_stream,
+    gosper_next,
+    gosper_scan_quaternion,
+    gosper_scan_two_generator,
+    least_geq_with_weight,
+)
 
 
 def test_gosper_enumerates_fixed_weight():
     for n, w in ((6, 3), (8, 2), (10, 5)):
         got = []
-        v = _scan_py.least_geq_with_weight(0, n, w)
+        v = least_geq_with_weight(0, n, w)
         while v is not None and v < (1 << n):
             got.append(v)
-            v = _scan_py.gosper_next(v)
+            v = gosper_next(v)
         assert got == all_weight_w(n, w)
 
 
@@ -24,7 +32,7 @@ def test_gosper_enumerates_fixed_weight():
 def test_least_geq_with_weight(n, data):
     w = data.draw(st.integers(0, n))
     lo = data.draw(st.integers(0, (1 << n) - 1))
-    got = _scan_py.least_geq_with_weight(lo, n, w)
+    got = least_geq_with_weight(lo, n, w)
     brute = [x for x in range(lo, 1 << n) if bin(x).count("1") == w]
     assert got == (brute[0] if brute else None)
 

@@ -15,7 +15,6 @@ from hfpc.families import (
     element_perms,
     family_perms,
     family_spec,
-    half_parities,
 )
 from hfpc.gf2 import BitVector
 from hfpc.hadamard import is_hadamard_code
@@ -26,7 +25,7 @@ from hfpc.propelinear import (
     is_full_propelinear,
     is_propelinear,
 )
-from helpers import GENERATOR_A, rebuild_code
+from helpers import GENERATOR_A, GENERATOR_B, generate_group, label_product, rebuild_code
 
 V = BitVector.from_string
 
@@ -99,6 +98,38 @@ def test_assembled_elements_carry_their_labels_permutation(accepted_pool):
         for acc in result.accepted[:4]:
             for e in rebuild_code(acc).elements:
                 assert e.perm == _perm_by_compose_chain(tag, t, e.label)
+
+
+def _element_map(code):
+    return {e.vector.value: (e.perm.images, e.label) for e in code.elements}
+
+
+def test_constructors_agree_with_closure_oracle(accepted_pool):
+    """assemble lists exactly the group its own generators close into.
+
+    The closure labels each element by the family's label algebra, so this
+    checks label -> vector (which code_to_cchm relies on) as well as
+    label -> permutation.
+    """
+    codes = [
+        rebuild_code(acc)
+        for result in accepted_pool.values()
+        for acc in result.accepted[:4]
+    ]
+    codes += [assemble("2t4u", 8, V(g)) for g in (GENERATOR_A, GENERATOR_B)]
+    seen = set()
+    for code in codes:
+        tag, t = code.family, code.t
+        seen.add((tag, t))
+        names = ("d", "a", "b") if tag == "tqu" else ("a", "b", "u")
+        gens = [code.generators[name] for name in names]
+        closure = generate_group(
+            gens, 8 * t, label_rule=lambda x, y: label_product(tag, t, x, y)
+        )
+        assert closure.size == 8 * t
+        assert _element_map(closure) == _element_map(code), (tag, t)
+    nonempty = {key for key, result in accepted_pool.items() if result.accepted}
+    assert seen == nonempty | {("2t4u", 8)}
 
 
 def test_mutating_family_perms_does_not_change_assembly():
@@ -271,7 +302,8 @@ def test_half_parity_power_lemma(t, data):
     from hfpc.propelinear import PropelinearElement
 
     end = element_power(PropelinearElement(a, pa), 2 * t)
-    ph, pl = half_parities(a)
+    ph = (a.value >> (2 * t)).bit_count() & 1  # weight parities of the halves
+    pl = (a.value & ((1 << (2 * t)) - 1)).bit_count() & 1
     if ph == 1 and pl == 1:
         assert end == BitVector.ones(n)
     elif ph == 0 and pl == 0:

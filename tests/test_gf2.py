@@ -4,38 +4,31 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hfpc.gf2 import (
-    BitMatrix,
-    BitVector,
-    complement,
-    distance,
-    rank_gf2,
-    row_space_basis,
-    weight,
-)
+from hfpc.gf2 import BitMatrix, BitVector, rank_gf2, row_space_basis
 from helpers import rank_by_span, span_of
 
 V = BitVector.from_string
 
 
 def test_weight():
-    assert weight(V("0000")) == 0
-    assert weight(V("1111")) == 4
-    assert weight(V("0110")) == 2
+    assert V("0000").weight() == 0
+    assert V("1111").weight() == 4
+    assert V("0110").weight() == 2
 
 
 def test_distance():
-    assert distance(V("0000"), V("1111")) == 4
-    assert distance(V("1010"), V("1010")) == 0
-    assert distance(V("1100"), V("1010")) == 2
+    # Hamming distance is the weight of the sum
+    assert (V("0000") ^ V("1111")).weight() == 4
+    assert (V("1010") ^ V("1010")).weight() == 0
+    assert (V("1100") ^ V("1010")).weight() == 2
     with pytest.raises(ValueError):
-        distance(V("110"), V("1100"))
+        V("110") ^ V("1100")
 
 
 def test_complement():
-    assert complement(V("0000")) == V("1111")
-    assert complement(V("0110")) == V("1001")
-    assert complement(complement(V("0110100"))) == V("0110100")
+    assert V("0000").complement() == V("1111")
+    assert V("0110").complement() == V("1001")
+    assert V("0110100").complement().complement() == V("0110100")
 
 
 def test_string_round_trip_and_coordinates():
@@ -45,7 +38,6 @@ def test_string_round_trip_and_coordinates():
     with pytest.raises(IndexError):
         v.bit(6)
     assert BitVector.from_bits([1, 0, 1, 1, 0]) == v
-    assert str(BitVector.alternating(6)) == "101010"
 
 
 def test_rank_examples():
@@ -72,10 +64,11 @@ def test_distance_is_a_metric(n, data):
     x = BitVector(n, data.draw(bits))
     y = BitVector(n, data.draw(bits))
     z = BitVector(n, data.draw(bits))
-    assert distance(x, y) == weight(x ^ y)
-    assert distance(x, y) == distance(y, x)
-    assert (distance(x, y) == 0) == (x == y)
-    assert distance(x, z) <= distance(x, y) + distance(y, z)
+    dxy, dyz, dxz = (x ^ y).weight(), (y ^ z).weight(), (x ^ z).weight()
+    assert dxy == (x.value ^ y.value).bit_count()
+    assert dxy == (y ^ x).weight()
+    assert (dxy == 0) == (x == y)
+    assert dxz <= dxy + dyz
 
 
 @given(st.integers(1, 10), st.lists(st.integers(0, 1023), min_size=1, max_size=6), st.data())
@@ -102,3 +95,10 @@ def test_basis_preserves_span(n, raw):
     basis = row_space_basis(m)
     assert len(basis.rows) == rank_gf2(m)
     assert span_of([v.value for v in basis.rows]) == span_of([v.value for v in rows])
+    # reduced echelon form: rows strictly descending, and each row's leading
+    # bit set in no other row
+    values = [v.value for v in basis.rows]
+    assert all(values) and values == sorted(set(values), reverse=True)
+    for i, v in enumerate(values):
+        lead = 1 << (v.bit_length() - 1)
+        assert all(not w & lead for j, w in enumerate(values) if j != i)

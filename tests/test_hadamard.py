@@ -11,8 +11,6 @@ from hfpc.hadamard import (
     is_hadamard_code,
     is_hadamard_matrix,
     kernel,
-    matrix_from_code_rows,
-    min_distance,
     profile,
     rank,
 )
@@ -24,6 +22,7 @@ from helpers import (
     all_weight_w,
     full_pairwise_is_hadamard_code,
     kernel_all_words,
+    min_distance,
     rank_by_span,
     rebuild_code,
     span_of,
@@ -202,11 +201,6 @@ def test_profile_fields():
 
 def test_min_distance():
     assert min_distance(EVEN_WEIGHT_4) == 2
-
-
-def test_matrix_conversion_convention():
-    rows = [V("0000"), V("0110")]
-    assert matrix_from_code_rows(rows) == [[1, 1, 1, 1], [1, -1, -1, 1]]
 
 
 def test_bound_checks():

@@ -9,20 +9,23 @@ from hfpc.perms import Permutation, from_cycles, identity
 from hfpc.propelinear import (
     PropelinearCode,
     PropelinearElement,
-    SizeMismatch,
-    VectorCollision,
     associated_group_order,
     element_power,
-    generate_group,
-    inverse,
     is_full_propelinear,
     is_propelinear,
-    label_inverse,
-    label_product,
     star,
     star_elem,
 )
-from helpers import iterated_star_power, rebuild_code, star_powers
+from helpers import (
+    SizeMismatch,
+    VectorCollision,
+    generate_group,
+    iterated_star_power,
+    label_product,
+    labelled_star,
+    rebuild_code,
+    star_powers,
+)
 
 V = BitVector.from_string
 
@@ -42,17 +45,17 @@ def test_star_examples():
 
 def test_star_elem_and_inverse():
     x = _elem("1000", [(1, 2, 3, 4)])
-    xi = inverse(x)
-    assert xi.vector == V("0001")
-    prod = star_elem(x, xi)
-    assert prod.vector == V("0000") and prod.perm == identity(4)
+    # the inverse of x is pi_x^{-1}(x) with pi_x^{-1}
+    xi = _elem("0001", [(1, 4, 3, 2)])
+    for prod in (star_elem(x, xi), star_elem(xi, x)):
+        assert prod.vector == V("0000") and prod.perm == identity(4)
     u = _elem("1111", [])
     y = _elem("0110", [(1, 3), (2, 4)])
     uy = star_elem(u, y)
     assert uy.vector == y.vector.complement() and uy.perm == y.perm
     e = _elem("0000", [])
-    assert inverse(e).vector == e.vector
-    assert inverse(u).vector == u.vector
+    assert star_elem(e, e).vector == e.vector
+    assert star_elem(u, u).vector == e.vector
 
 
 def test_label_arithmetic():
@@ -65,11 +68,22 @@ def test_label_arithmetic():
     # quaternion: b a = a^-1 b and b^2 = a^2
     assert label_product("tqu", 3, (0, 0, 1), (0, 1, 0)) == (0, 3, 1)
     assert label_product("tqu", 3, (0, 0, 1), (0, 0, 1)) == (0, 2, 0)
-    for tag, t in (("4tu2", 2), ("2t22u", 2), ("2t4u", 2), ("tqu", 3), ("cyclic4tu", 1)):
-        for lab in [(1, 0, 0), (0, 1, 0), (1, 1, 1), (2, 0, 1)]:
-            if tag == "tqu":
-                lab = (lab[0] % t, lab[1], lab[2] % 2)
-            assert label_product(tag, t, lab, label_inverse(tag, t, lab)) == (0, 0, 0)
+    for tag, t, j_order, ks in (
+        ("4tu2", 2, 4, (0, 1)),
+        ("2t22u", 2, 4, (0, 1)),
+        ("2t4u", 2, 4, (0, 1)),
+        ("tqu", 3, 3, (0, 1, 2, 3)),
+        ("cyclic4tu", 1, 4, (0,)),
+    ):
+        labels = [(j, k, l) for j in range(j_order) for k in ks for l in (0, 1)]
+        # the labels form a group of order 8t: every label has exactly one
+        # two-sided inverse, and multiplying by a label permutes the labels
+        assert len(labels) == 8 * t
+        for lab in labels:
+            inverses = [y for y in labels if label_product(tag, t, lab, y) == (0, 0, 0)]
+            assert len(inverses) == 1
+            assert label_product(tag, t, inverses[0], lab) == (0, 0, 0)
+            assert {label_product(tag, t, lab, y) for y in labels} == set(labels)
 
 
 def test_element_power_examples():
@@ -104,7 +118,8 @@ def test_generate_group_even_weight_code():
     assert {str(v) for v in code.vectors()} == {
         "0000", "1100", "1010", "1001", "0110", "0101", "0011", "1111"
     }
-    assert code.exponent_index[V("1100").value] == (1, 0, 0)
+    labels = {e.vector.value: e.label for e in code.elements}
+    assert labels[V("1100").value] == (1, 0, 0)
     assert is_propelinear(code)
     assert is_full_propelinear(code)
     assert associated_group_order(code) == 4
@@ -190,8 +205,8 @@ def test_associativity_sampled(accepted_pool):
     for x in elems[::5]:
         for y in elems[::7]:
             for z in elems[::6]:
-                left = star_elem(star_elem(x, y, rule), z, rule)
-                right = star_elem(x, star_elem(y, z, rule), rule)
+                left = labelled_star(labelled_star(x, y, rule), z, rule)
+                right = labelled_star(x, labelled_star(y, z, rule), rule)
                 assert left.vector == right.vector
                 assert left.perm == right.perm
                 assert left.label == right.label

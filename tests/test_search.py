@@ -10,12 +10,17 @@ from hfpc.search import (
     SearchTask,
     analytic_nonexistence,
     candidate_count,
-    candidate_stream,
     dedup,
     reproduce_table,
     run_search,
 )
-from helpers import EXPECTED_CELLS, GENERATOR_B, all_weight_w, brute_force_accepted
+from helpers import (
+    EXPECTED_CELLS,
+    GENERATOR_B,
+    all_weight_w,
+    brute_force_accepted,
+    candidate_stream,
+)
 
 V = BitVector.from_string
 
