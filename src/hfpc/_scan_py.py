@@ -21,11 +21,27 @@ four strands of d (the bits at positions = r mod 4) independently, so
 wt d^j is the sum of wt S_j over the strands, with S_j on t-bit strands.  A
 stream word passes the power filter exactly when the signature of its
 strands 3 and 2 (the left part) and that of its strands 1 and 0 (the right
-part) add up to 2t in every field.  The left strands of a depend only on the
-left part of d and the free bit f1, the right strands only on the right
-part and f3, so the row-0 weights wt(d^j + rot^j a), j < t, of the pairwise
-Hadamard check split the same way; a variant goes on to the b derivation
-and the full check only when its two a-weight signatures are complementary.
+part) add up to 2t in every field.
+
+Both Hadamard filters check row 0 first.  A table word's distance from
+e = 0 is its weight, so row 0 of the pairwise check asks that every table
+word weigh 2t, and almost every power survivor fails it within a few
+bit_counts; only the words that pass reach the full pairwise check.  Row 0
+is a subset of that check, so verdicts, counters and accepted order are
+those of the full check alone.
+
+- Two-generator: the weights wt(a^j + rot^j b) are checked as a^j and
+  rot^j b are built, with an exit at the first wrong one.
+- Quaternion: the left strands of a depend only on the left part of d and
+  the free bit f1, the right strands only on the right part and f3, so the
+  row-0 weights wt(d^j + rot^j a), j < t, split the same way; a variant
+  passes them exactly when its two a-weight signatures are complementary.
+  The right parts of each power-signature class are indexed by a-weight
+  signature, so a full-range scan visits only the survivors with a passing
+  variant and counts the others by bisection.  A first-accept scan merges
+  every survivor in stream order instead, to stop at the first accept.
+  The variants that pass go on to the b derivation, the relations and the
+  rest of row 0 (wt(d^j + rot^j b) and wt(d^j + rot^j ab)).
 
 In both scans the examined and power-rejected counts come from ranking the
 candidate stream, as if every candidate had been visited in ascending order.
@@ -59,20 +75,24 @@ def _signature(x: int, h: int) -> int:
 
 
 def _necklaces(h: int):
-    """Smallest rotation of each h-bit word, ascending (Fredricksen-Kessler-Maiorana)."""
-    digits = [0] * (h + 1)
-    yield 0
-    while True:
-        i = h
-        while i and digits[i]:
-            i -= 1
-        if not i:
-            return
-        digits[i] = 1
-        for j in range(i + 1, h + 1):
-            digits[j] = digits[j - i]
+    """Smallest rotation of each h-bit word, ascending (Fredricksen-Kessler-Maiorana).
+
+    Each step sets the last 0 digit of the previous word to 1 and repeats
+    the prefix ending there, of length i, to h digits; the word is a
+    necklace when i divides h.
+    """
+    word = 0
+    yield word
+    full = (1 << h) - 1
+    while word != full:
+        ones = (~word & (word + 1)).bit_length() - 1  # trailing 1 digits
+        i = h - ones
+        reps = -(-h // i)
+        word = ((word >> ones | 1) * (((1 << (i * reps)) - 1) // ((1 << i) - 1))) >> (
+            i * reps - h
+        )
         if h % i == 0:
-            yield int("".join(map(str, digits[1:])), 2)
+            yield word
 
 
 def _join_table(h: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
@@ -157,7 +177,11 @@ def _is_hadamard(a: int, h: int, b_compl: bool) -> bool:
     """The scan's Hadamard filter on a power survivor a.
 
     Builds the companion generator b, then checks that the words a^j and
-    a^j * b are pairwise at distance 2t.
+    a^j * b = a^j + rot^j b are pairwise at distance 2t.  Row 0 goes first:
+    the distance from a^0 = 0 to a^j * b is its weight, checked as each j is
+    built, with an exit at the first wrong one (the a^j have weight 2t by
+    the power filter).  Only a candidate that passes row 0 reaches the full
+    pairwise check.
     """
     n = 2 * h
     mh = (1 << h) - 1
@@ -170,28 +194,21 @@ def _is_hadamard(a: int, h: int, b_compl: bool) -> bool:
     bh = (p << 1) & mh
     b = (bh << h) | (bh ^ mh if b_compl else bh)
 
-    wj = [0] * h  # powers a^0 .. a^(h-1)
-    wj[1] = a
-    cur = a
-    for j in range(2, h):
-        ch = cur >> h
-        cl = cur & mh
-        ch = (ch >> 1) | ((ch & 1) << (h - 1))
-        cl = (cl >> 1) | ((cl & 1) << (h - 1))
-        cur = a ^ ((ch << h) | cl)
-        wj[j] = cur
-
-    # full table: a^j and a^j * b, then all pairwise distances must be 2t
-    d_tab = [0] * n
+    # rot rotates both halves right by one: keep the bits that stay in their
+    # half, move each half's lowest bit (ends) to its top
+    keep = ((mh >> 1) << h) | (mh >> 1)
+    ends = (1 << h) | 1
+    d_tab = [0] * n  # a^j at j, a^j * b at h + j
+    cur = 0
     rb = b
     for j in range(h):
-        d_tab[j] = wj[j]
-        d_tab[h + j] = wj[j] ^ rb
-        rh = rb >> h
-        rl = rb & mh
-        rh = (rh >> 1) | ((rh & 1) << (h - 1))
-        rl = (rl >> 1) | ((rl & 1) << (h - 1))
-        rb = (rh << h) | rl
+        ab = cur ^ rb
+        if ab.bit_count() != h:
+            return False
+        d_tab[j] = cur
+        d_tab[h + j] = ab
+        cur = a ^ (((cur >> 1) & keep) | ((cur & ends) << (h - 1)))
+        rb = ((rb >> 1) & keep) | ((rb & ends) << (h - 1))
     for i in range(n):
         di = d_tab[i]
         for j in range(i + 1, n):
@@ -293,6 +310,7 @@ class _QuaternionTables:
         self.t = t
         self.mask = (1 << t) - 1
         self.rmask = int("0011" * t, 2)
+        self.s3 = int("1000" * t, 2)  # strand 3; strand r is s3 >> (3 - r)
         self.spread = [sum(((s >> k) & 1) << (4 * k) for k in range(t)) for s in range(1 << t)]
         # S_1 = s is the only power of a t = 1 strand; its weight field is s
         self.sig = [_signature(s, t) if t > 1 else s for s in range(1 << t)]
@@ -303,6 +321,8 @@ class _QuaternionTables:
         self.full = sum(2 * t << (_FIELD * j) for j in range(max(t - 1, 1)))
         self.full_a = sum(2 * t << (_FIELD * j) for j in range(t - 1))
         self.rights: dict[int, tuple[int, ...]] = {}  # left pair signature -> right parts
+        # left pair signature -> {a-weight signature: those right parts, ascending}
+        self.rights_by_a: dict[int, dict[int, tuple[int, ...]]] = {}
         self.a_sigs: dict[int, int] = {}  # part, in place -> a-weight signature
 
         # A left part is a 2t-bit number m whose digit k (bits 2k + 1, 2k) is
@@ -344,6 +364,16 @@ class _QuaternionTables:
             )
         return rights
 
+    def rights_by_a_for(self, sig: int) -> dict[int, tuple[int, ...]]:
+        """rights_for(sig) split by the a-weight signature of each right part."""
+        buckets = self.rights_by_a.get(sig)
+        if buckets is None:
+            lists: dict[int, list[int]] = {}
+            for rv in self.rights_for(sig):
+                lists.setdefault(self.a_signature(rv), []).append(rv)
+            buckets = self.rights_by_a[sig] = {ar: tuple(rs) for ar, rs in lists.items()}
+        return buckets
+
     def a_signature(self, part: int) -> int:
         """wt(S_j(sx) + rot^j ax) + wt(S_j(sy) + rot^j ay), j = 1 .. t-1, packed.
 
@@ -377,7 +407,7 @@ class _QuaternionTables:
         return sig
 
     def lefts(self, lo: int, hi: int):
-        """(left part, its right parts), ascending part.
+        """(left part, its pair signature), ascending part, if it has right parts.
 
         Yields every left part with a right part that could put the word in
         [lo, hi): parts whose largest word (all right bits set) is below lo
@@ -410,9 +440,9 @@ class _QuaternionTables:
                     return
                 s3 = s3h | s3l
                 s2 = s2h | s2l
-                rights = self.rights_for(sig[s3] + sig[s2])
-                if rights:
-                    yield lv, rights
+                pair_sig = sig[s3] + sig[s2]
+                if self.rights_for(pair_sig):
+                    yield lv, pair_sig
 
 
 def _quaternion_tables(t: int) -> _QuaternionTables:
@@ -420,6 +450,15 @@ def _quaternion_tables(t: int) -> _QuaternionTables:
     if tab is None:
         tab = _QUATERNION_TABLES[t] = _QuaternionTables(t)
     return tab
+
+
+def _prefix_xor(x: int, n: int) -> int:
+    """Each bit of the n-bit x xored with the bits 4, 8, ... places above it."""
+    k = 4
+    while k < n:
+        x ^= x >> k
+        k <<= 1
+    return x
 
 
 def _quaternion_variants(
@@ -430,26 +469,30 @@ def _quaternion_variants(
     allowed[f1 ^ f3] says whether the a-weight test lets the variant through;
     a variant it stops fails row 0 of the pairwise Hadamard check and is
     counted as rejected there.  The others derive a and b, check the
-    relations, the pairwise Hadamard condition and the code-set dedup.
+    relations, the rest of row 0 (the weights of d^j * b and d^j * ab, one j
+    at a time with an exit at the first wrong one), then the full pairwise
+    Hadamard condition and the code-set dedup.
     Returns (accepted triples, rejected_no_b, rejected_relation,
     rejected_hadamard).
     """
     n = 4 * t
     w = 2 * t
     full = (1 << n) - 1
-    aa = int("10" * (2 * t), 2)  # odd bit positions, for the pair swap
-    bb = aa >> 1
-    cc = int("1100" * t, 2)  # high bit pairs of each nibble
-    dd = cc >> 2
+    s3 = _quaternion_tables(t).s3
+    s2, s1 = s3 >> 1, s3 >> 2
+    odd = s3 | s1  # odd bit positions, for the pair swap
+    even = odd >> 1
+    high = s3 | s2  # high bit pairs of each nibble, for the nibble swap
+    low = high >> 2
 
     def rot4(x: int) -> int:
         return (x >> 4) | ((x & 15) << (n - 4))
 
     def pairswap(x: int) -> int:
-        return ((x & aa) >> 1) | ((x & bb) << 1)
+        return ((x & odd) >> 1) | ((x & even) << 1)
 
     def nibswap(x: int) -> int:
-        return ((x & cc) >> 2) | ((x & dd) << 2)
+        return ((x & high) >> 2) | ((x & low) << 2)
 
     rej_nob = rej_rel = rej_had = 0
     accepted: list[tuple[int, int, int]] = []
@@ -460,73 +503,70 @@ def _quaternion_variants(
         powers[j] = cur
         cur = d ^ rot4(cur)
 
-    what = d ^ pairswap(d)
-    wtil = d ^ nibswap(d)
+    pd = pairswap(d)
+    nd = nibswap(d)
+    # telescoped class sums, read from the top nibble down: a1 (strand 3)
+    # and a3 (strand 1) for f1 = f3 = 0, b1 (strand 3) and b2 (strand 2)
+    # for seed2 = 0
+    what = d ^ pd
+    wtil = d ^ nd
+    p1 = _prefix_xor(what & s3, n)
+    p3 = _prefix_xor(what & s1, n)
+    q1 = _prefix_xor(wtil & s3, n)
+    q2 = _prefix_xor(wtil & s2, n)
     seen: set[tuple[int, ...]] = set()
     for f1 in (0, 1):
         for f3 in (0, 1):
             if not allowed[f1 ^ f3]:
                 rej_had += 1
                 continue
-            # a from d: telescoped class sums, blocks (a1, ~a1, a3, ~a3)
-            pre1 = pre3 = 0
-            a = 0
-            for i in range(t):
-                sh = n - 4 * i - 4
-                pre1 ^= (what >> (sh + 3)) & 1
-                pre3 ^= (what >> (sh + 1)) & 1
-                a1 = f1 ^ pre1
-                a3 = f3 ^ pre3
-                a |= (a1 << (sh + 3)) | ((a1 ^ 1) << (sh + 2))
-                a |= (a3 << (sh + 1)) | ((a3 ^ 1) << sh)
+            # a from d: blocks (a1, ~a1, a3, ~a3)
+            a1 = p1 ^ s3 if f1 else p1
+            a3 = p3 ^ s1 if f3 else p3
+            a = a1 | ((a1 ^ s3) >> 1) | a3 | ((a3 ^ s1) >> 1)
             # b from a, seed 0: the seed-1 twin is b + u and generates
-            # the same code, so only one seed is scanned here
+            # the same code, so only one seed is scanned here.  b exists when
+            # b1 + b2 = 1 + a1 + a3 in every block (compared on strand 2)
             seed2 = 1 ^ ((a >> 3) & 1) ^ ((a >> 1) & 1)
-            pre1 = pre2 = 0
-            b = 0
-            nob = False
-            for i in range(t):
-                sh = n - 4 * i - 4
-                pre1 ^= (wtil >> (sh + 3)) & 1
-                pre2 ^= (wtil >> (sh + 2)) & 1
-                b1 = pre1
-                b2 = seed2 ^ pre2
-                if b1 ^ b2 != 1 ^ ((a >> (sh + 3)) & 1) ^ ((a >> (sh + 1)) & 1):
-                    nob = True
-                    break
-                b |= (b1 << (sh + 3)) | (b2 << (sh + 2))
-                b |= ((b1 ^ 1) << (sh + 1)) | ((b2 ^ 1) << sh)
-            if nob:
+            b2 = q2 ^ s2 if seed2 else q2
+            if (q1 >> 1) ^ b2 != s2 ^ (a1 >> 1) ^ (a3 << 1):
                 rej_nob += 1
                 continue
+            b = q1 | b2 | ((q1 ^ s3) >> 2) | ((b2 ^ s2) >> 2)
             ab = a ^ pairswap(b)
             if (
-                d ^ rot4(a) != a ^ pairswap(d)
-                or d ^ rot4(b) != b ^ nibswap(d)
+                d ^ rot4(a) != a ^ pd
+                or d ^ rot4(b) != b ^ nd
                 or ab ^ pairswap(nibswap(a)) != b
             ):
                 rej_rel += 1
                 continue
             rqa, rqb, rqab = a, b, ab
+            ok = True
             for j in range(t):
                 base = 4 * j
                 pj = powers[j]
+                xb = pj ^ rqb
+                xab = pj ^ rqab
+                if xb.bit_count() != w or xab.bit_count() != w:
+                    ok = False
+                    break
                 t_tab[base] = pj
                 t_tab[base + 1] = pj ^ rqa
-                t_tab[base + 2] = pj ^ rqb
-                t_tab[base + 3] = pj ^ rqab
+                t_tab[base + 2] = xb
+                t_tab[base + 3] = xab
                 rqa = rot4(rqa)
                 rqb = rot4(rqb)
                 rqab = rot4(rqab)
-            ok = True
-            for i in range(n):
-                ti = t_tab[i]
-                for j in range(i + 1, n):
-                    if (ti ^ t_tab[j]).bit_count() != w:
-                        ok = False
+            if ok:
+                for i in range(n):
+                    ti = t_tab[i]
+                    for j in range(i + 1, n):
+                        if (ti ^ t_tab[j]).bit_count() != w:
+                            ok = False
+                            break
+                    if not ok:
                         break
-                if not ok:
-                    break
             if not ok:
                 rej_had += 1
                 continue
@@ -540,6 +580,71 @@ def _quaternion_variants(
     return accepted, rej_nob, rej_rel, rej_had
 
 
+def _a_weight_matches(
+    tab: _QuaternionTables, lo: int, hi: int
+) -> tuple[list[tuple[int, tuple[bool, bool]]], int]:
+    """Power survivors in [lo, hi) that have a variant passing the a-weight test.
+
+    Returns them ascending, each with its a-weight verdicts, and the number
+    of other survivors.  Per left part (a-weight signature al) only the right
+    parts with signature full_a - al (f1 = f3) or al (f1 != f3) are visited;
+    the rest are counted by bisection.
+    """
+    full_a = tab.full_a
+    hits: list[tuple[int, tuple[bool, bool]]] = []
+    skipped = 0
+    for lv, sig in tab.lefts(lo, hi):
+        rights = tab.rights_for(sig)
+        rlo, rhi = lo - lv, hi - lv
+        count = bisect_left(rights, rhi) - bisect_left(rights, rlo)
+        if not count:
+            continue
+        al = tab.a_signature(lv)
+        match = full_a - al
+        by_a = tab.rights_by_a_for(sig)
+        visits = [(match, (True, al == match))]
+        if al != match:
+            visits.append((al, (False, True)))
+        for ar, allowed in visits:
+            bucket = by_a.get(ar, ())
+            start, end = bisect_left(bucket, rlo), bisect_left(bucket, rhi)
+            hits.extend((lv + rv, allowed) for rv in bucket[start:end])
+            count -= end - start
+        skipped += count
+    hits.sort()
+    return hits, skipped
+
+
+def _stream_order(tab: _QuaternionTables, lo: int, hi: int):
+    """Every power survivor in [lo, hi), ascending, with its a-weight verdicts.
+
+    A k-way merge of the left parts' streams d = left + right: a left part
+    joins the heap once no word below it is left there.
+    """
+    full_a = tab.full_a
+    heap: list[tuple[int, int, int, tuple[int, ...], int]] = []
+    lefts = tab.lefts(lo, hi)
+    nxt = next(lefts, None)
+    while True:
+        while nxt is not None and (not heap or nxt[0] < heap[0][0]):
+            lv, sig = nxt
+            rights = tab.rights_for(sig)
+            pos = bisect_left(rights, lo - lv)
+            if pos < len(rights) and lv + rights[pos] < hi:
+                heappush(heap, (lv + rights[pos], pos, lv, rights, tab.a_signature(lv)))
+            nxt = next(lefts, None)
+        if not heap:
+            return
+        d, pos, lv, rights, al = heap[0]
+        ar = tab.a_signature(d - lv)
+        yield d, (al + ar == full_a, al == ar)
+        pos += 1
+        if pos < len(rights) and lv + rights[pos] < hi:
+            heapreplace(heap, (lv + rights[pos], pos, lv, rights, al))
+        else:
+            heappop(heap)
+
+
 def scan_quaternion(
     t: int, lo: int, hi: int, first_only: bool = False
 ) -> tuple[list[tuple[int, int, int]], tuple[int, int, int, int, int]]:
@@ -548,29 +653,19 @@ def scan_quaternion(
     if lo >= hi:
         return [], (0, 0, 0, 0, 0)
     tab = _quaternion_tables(t)
-    full_a = tab.full_a
+    # first mode walks every survivor in stream order up to the first accept;
+    # all mode visits only a-weight matches and charges the rest 4 variants
+    # each to rejected_hadamard, as the a-weight test would
+    if first_only:
+        stream, skipped = _stream_order(tab, lo, hi), 0
+    else:
+        stream, skipped = _a_weight_matches(tab, lo, hi)
     accepted: list[tuple[int, int, int]] = []
-    survivors = rej_nob = rej_rel = rej_had = 0
-    # k-way merge of the left parts' streams d = left + right, ascending:
-    # a left part joins the heap once no word below it is left there
-    heap: list[tuple[int, int, int, tuple[int, ...], int]] = []
-    lefts = tab.lefts(lo, hi)
-    nxt = next(lefts, None)
-    while True:
-        while nxt is not None and (not heap or nxt[0] < heap[0][0]):
-            lv, rights = nxt
-            pos = bisect_left(rights, lo - lv)
-            if pos < len(rights) and lv + rights[pos] < hi:
-                al = tab.a_signature(lv)
-                heappush(heap, (lv + rights[pos], pos, lv, rights, al))
-            nxt = next(lefts, None)
-        if not heap:
-            break
-        d, pos, lv, rights, al = heap[0]
+    survivors = skipped
+    rej_nob = rej_rel = 0
+    rej_had = 4 * skipped
+    for d, allowed in stream:
         survivors += 1
-        rv = d - lv
-        ar = tab.a_signature(rv)
-        allowed = (al + ar == full_a, al == ar)
         if allowed[0] or allowed[1]:
             acc, nob, rel, had = _quaternion_variants(d, t, allowed, first_only)
             rej_nob += nob
@@ -583,10 +678,5 @@ def scan_quaternion(
                     break
         else:
             rej_had += 4
-        pos += 1
-        if pos < len(rights) and lv + rights[pos] < hi:
-            heapreplace(heap, (lv + rights[pos], pos, lv, rights, al))
-        else:
-            heappop(heap)
     examined = _quaternion_rank(hi, t) - _quaternion_rank(lo, t)
     return accepted, (examined, examined - survivors, rej_nob, rej_rel, rej_had)

@@ -10,7 +10,7 @@ the generators of their family presentation (see hfpc.families).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .gf2 import BitVector
 from .perms import Permutation, apply, compose, has_fixed_point, identity
@@ -57,15 +57,35 @@ def element_power(x: PropelinearElement, i: int) -> BitVector:
     is the parity of x over c and its i - 1 predecessors on its cycle of
     pi_x.  On a cycle of length L that is (i // L) times the parity of the
     whole cycle plus a window of i mod L, read off prefix parities of the
-    cycle written twice: one O(n) pass for any i.
+    cycle written twice: one O(n) pass for any i, once the cycles and their
+    prefix parities are known (memoised per element).
     """
     if i < 1:
         raise ValueError("power must be positive")
     n = x.vector.n
-    v = x.vector.value
-    images = x.perm.images
     out = 0
+    for length, prefix, bits in _cycle_parities(x.perm.images, x.vector.value):
+        laps, r = divmod(i, length)
+        whole = prefix[length] & laps & 1
+        for m, bit in enumerate(bits, start=length + 1):
+            # window of r bits ending at position m of the doubled cycle
+            if whole ^ prefix[m] ^ prefix[m - r]:
+                out |= bit
+    return BitVector(n, out)
+
+
+@lru_cache(maxsize=1024)
+def _cycle_parities(
+    images: tuple[int, ...], v: int
+) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
+    """(length, prefix parities, coordinate bits) of each cycle of images.
+
+    prefix[s] is the parity of v over the first s coordinates of the cycle
+    written twice; bits holds 1 << (n - c) for its coordinates c in order.
+    """
+    n = len(images)
     seen = [False] * (n + 1)
+    out = []
     for start in range(1, n + 1):
         if seen[start]:
             continue
@@ -75,17 +95,11 @@ def element_power(x: PropelinearElement, i: int) -> BitVector:
             seen[c] = True
             cycle.append(c)
             c = images[c - 1]
-        length = len(cycle)
-        prefix = [0]  # prefix[s] = parity of the first s bits of cycle + cycle
+        prefix = [0]
         for c in cycle + cycle:
             prefix.append(prefix[-1] ^ ((v >> (n - c)) & 1))
-        laps, r = divmod(i, length)
-        whole = prefix[length] & laps & 1
-        for m, c in enumerate(cycle):
-            # window of r bits ending at position m + length of the doubled cycle
-            if whole ^ prefix[m + length + 1] ^ prefix[m + length + 1 - r]:
-                out |= 1 << (n - c)
-    return BitVector(n, out)
+        out.append((len(cycle), tuple(prefix), tuple(1 << (n - c) for c in cycle)))
+    return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,15 +4,19 @@ The oracles here deliberately avoid the library's optimized code paths:
 rank by explicit span enumeration, kernel by trying every word of F^n,
 minimum distance over every pair, the code of a generator set by closing it
 under the star product, search by running the reference constructor on the
-whole 2^4t space, and the candidate stream and the two-generator and
-quaternion scans by visiting every candidate with Gosper's hack.
+whole 2^4t space, the candidate stream and the two-generator and
+quaternion scans by visiting every candidate with Gosper's hack, and the
+scans' Hadamard filters by checking every pair of table words.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from heapq import heappop, heappush, heapreplace
 from itertools import combinations
 from typing import Callable, Iterator, Sequence
 
+from hfpc import _scan_py
 from hfpc.families import Reject, assemble, assemble_quaternion_variants
 from hfpc.gf2 import BitVector
 from hfpc.hadamard import _values
@@ -595,3 +599,236 @@ def gosper_scan_quaternion(
         if stop:
             break
     return accepted, (examined, rej_pow, rej_nob, rej_rel, rej_had)
+
+
+# The scan filters as they were before row 0 went first: each builds its
+# whole table and checks every pair, and the quaternion scan merges every
+# power survivor in stream order.
+
+
+def full_table_is_hadamard(a: int, h: int, b_compl: bool) -> bool:
+    """The two-generator Hadamard filter with no row-0 exit.
+
+    Builds the companion generator b and the whole table of words a^j and
+    a^j * b, then checks that they are pairwise at distance 2t; the verdict
+    hfpc._scan_py._is_hadamard must give on every power survivor a.
+    """
+    n = 2 * h
+    mh = (1 << h) - 1
+    # companion generator: first half of b is the suffix xor of a + pi_b(a)
+    p = (a >> h) ^ (a & mh)
+    k = 1
+    while k < h:
+        p ^= (p << k) & mh
+        k <<= 1
+    bh = (p << 1) & mh
+    b = (bh << h) | (bh ^ mh if b_compl else bh)
+
+    wj = [0] * h  # powers a^0 .. a^(h-1)
+    wj[1] = a
+    cur = a
+    for j in range(2, h):
+        ch = cur >> h
+        cl = cur & mh
+        ch = (ch >> 1) | ((ch & 1) << (h - 1))
+        cl = (cl >> 1) | ((cl & 1) << (h - 1))
+        cur = a ^ ((ch << h) | cl)
+        wj[j] = cur
+
+    # full table: a^j and a^j * b, then all pairwise distances must be 2t
+    d_tab = [0] * n
+    rb = b
+    for j in range(h):
+        d_tab[j] = wj[j]
+        d_tab[h + j] = wj[j] ^ rb
+        rh = rb >> h
+        rl = rb & mh
+        rh = (rh >> 1) | ((rh & 1) << (h - 1))
+        rl = (rl >> 1) | ((rl & 1) << (h - 1))
+        rb = (rh << h) | rl
+    for i in range(n):
+        di = d_tab[i]
+        for j in range(i + 1, n):
+            if (di ^ d_tab[j]).bit_count() != h:
+                return False
+    return True
+
+
+def full_check_quaternion_variants(
+    d: int, t: int, allowed: tuple[bool, bool], first_only: bool
+) -> tuple[list[tuple[int, int, int]], int, int, int]:
+    """The quaternion variant check with no b/ab row-0 exit.
+
+    Derives a and b bit by bit and checks the whole table pairwise; the
+    result hfpc._scan_py._quaternion_variants must give.
+
+    allowed[f1 ^ f3] says whether the a-weight test lets the variant through;
+    a variant it stops fails row 0 of the pairwise Hadamard check and is
+    counted as rejected there.  The others derive a and b, check the
+    relations, the pairwise Hadamard condition and the code-set dedup.
+    Returns (accepted triples, rejected_no_b, rejected_relation,
+    rejected_hadamard).
+    """
+    n = 4 * t
+    w = 2 * t
+    full = (1 << n) - 1
+    aa = int("10" * (2 * t), 2)  # odd bit positions, for the pair swap
+    bb = aa >> 1
+    cc = int("1100" * t, 2)  # high bit pairs of each nibble
+    dd = cc >> 2
+
+    def rot4(x: int) -> int:
+        return (x >> 4) | ((x & 15) << (n - 4))
+
+    def pairswap(x: int) -> int:
+        return ((x & aa) >> 1) | ((x & bb) << 1)
+
+    def nibswap(x: int) -> int:
+        return ((x & cc) >> 2) | ((x & dd) << 2)
+
+    rej_nob = rej_rel = rej_had = 0
+    accepted: list[tuple[int, int, int]] = []
+    powers = [0] * t
+    t_tab = [0] * n
+    cur = d
+    for j in range(1, t):
+        powers[j] = cur
+        cur = d ^ rot4(cur)
+
+    what = d ^ pairswap(d)
+    wtil = d ^ nibswap(d)
+    seen: set[tuple[int, ...]] = set()
+    for f1 in (0, 1):
+        for f3 in (0, 1):
+            if not allowed[f1 ^ f3]:
+                rej_had += 1
+                continue
+            # a from d: telescoped class sums, blocks (a1, ~a1, a3, ~a3)
+            pre1 = pre3 = 0
+            a = 0
+            for i in range(t):
+                sh = n - 4 * i - 4
+                pre1 ^= (what >> (sh + 3)) & 1
+                pre3 ^= (what >> (sh + 1)) & 1
+                a1 = f1 ^ pre1
+                a3 = f3 ^ pre3
+                a |= (a1 << (sh + 3)) | ((a1 ^ 1) << (sh + 2))
+                a |= (a3 << (sh + 1)) | ((a3 ^ 1) << sh)
+            # b from a, seed 0: the seed-1 twin is b + u and generates
+            # the same code, so only one seed is scanned here
+            seed2 = 1 ^ ((a >> 3) & 1) ^ ((a >> 1) & 1)
+            pre1 = pre2 = 0
+            b = 0
+            nob = False
+            for i in range(t):
+                sh = n - 4 * i - 4
+                pre1 ^= (wtil >> (sh + 3)) & 1
+                pre2 ^= (wtil >> (sh + 2)) & 1
+                b1 = pre1
+                b2 = seed2 ^ pre2
+                if b1 ^ b2 != 1 ^ ((a >> (sh + 3)) & 1) ^ ((a >> (sh + 1)) & 1):
+                    nob = True
+                    break
+                b |= (b1 << (sh + 3)) | (b2 << (sh + 2))
+                b |= ((b1 ^ 1) << (sh + 1)) | ((b2 ^ 1) << sh)
+            if nob:
+                rej_nob += 1
+                continue
+            ab = a ^ pairswap(b)
+            if (
+                d ^ rot4(a) != a ^ pairswap(d)
+                or d ^ rot4(b) != b ^ nibswap(d)
+                or ab ^ pairswap(nibswap(a)) != b
+            ):
+                rej_rel += 1
+                continue
+            rqa, rqb, rqab = a, b, ab
+            for j in range(t):
+                base = 4 * j
+                pj = powers[j]
+                t_tab[base] = pj
+                t_tab[base + 1] = pj ^ rqa
+                t_tab[base + 2] = pj ^ rqb
+                t_tab[base + 3] = pj ^ rqab
+                rqa = rot4(rqa)
+                rqb = rot4(rqb)
+                rqab = rot4(rqab)
+            ok = True
+            for i in range(n):
+                ti = t_tab[i]
+                for j in range(i + 1, n):
+                    if (ti ^ t_tab[j]).bit_count() != w:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if not ok:
+                rej_had += 1
+                continue
+            sig = tuple(sorted(min(x, x ^ full) for x in t_tab))
+            if sig in seen:
+                continue
+            seen.add(sig)
+            accepted.append((d, a, b))
+            if first_only:
+                return accepted, rej_nob, rej_rel, rej_had
+    return accepted, rej_nob, rej_rel, rej_had
+
+
+def heap_scan_quaternion(
+    t: int, lo: int, hi: int, first_only: bool = False
+) -> tuple[list[tuple[int, int, int]], tuple[int, int, int, int, int]]:
+    """The quaternion scan as one stream-order merge over every power survivor.
+
+    Same signature, counters and accepted order as hfpc._scan_py.scan_quaternion
+    in both modes; it visits every survivor, a-weight match or not, and checks
+    the matches with full_check_quaternion_variants.
+    """
+    lo = max(lo, 0)
+    hi = min(hi, 1 << (4 * t))
+    if lo >= hi:
+        return [], (0, 0, 0, 0, 0)
+    tab = _scan_py._quaternion_tables(t)
+    full_a = tab.full_a
+    accepted: list[tuple[int, int, int]] = []
+    survivors = rej_nob = rej_rel = rej_had = 0
+    # k-way merge of the left parts' streams d = left + right, ascending:
+    # a left part joins the heap once no word below it is left there
+    heap: list[tuple[int, int, int, tuple[int, ...], int]] = []
+    lefts = tab.lefts(lo, hi)
+    nxt = next(lefts, None)
+    while True:
+        while nxt is not None and (not heap or nxt[0] < heap[0][0]):
+            lv, sig = nxt
+            rights = tab.rights_for(sig)
+            pos = bisect_left(rights, lo - lv)
+            if pos < len(rights) and lv + rights[pos] < hi:
+                al = tab.a_signature(lv)
+                heappush(heap, (lv + rights[pos], pos, lv, rights, al))
+            nxt = next(lefts, None)
+        if not heap:
+            break
+        d, pos, lv, rights, al = heap[0]
+        survivors += 1
+        rv = d - lv
+        ar = tab.a_signature(rv)
+        allowed = (al + ar == full_a, al == ar)
+        if allowed[0] or allowed[1]:
+            acc, nob, rel, had = full_check_quaternion_variants(d, t, allowed, first_only)
+            rej_nob += nob
+            rej_rel += rel
+            rej_had += had
+            if acc:
+                accepted.extend(acc)
+                if first_only:
+                    hi = d + 1  # counting stops at the first accepted candidate
+                    break
+        else:
+            rej_had += 4
+        pos += 1
+        if pos < len(rights) and lv + rights[pos] < hi:
+            heapreplace(heap, (lv + rights[pos], pos, lv, rights, al))
+        else:
+            heappop(heap)
+    examined = _scan_py._quaternion_rank(hi, t) - _scan_py._quaternion_rank(lo, t)
+    return accepted, (examined, examined - survivors, rej_nob, rej_rel, rej_had)

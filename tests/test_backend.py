@@ -11,9 +11,12 @@ from helpers import (
     _weight_range,
     all_weight_w,
     candidate_stream,
+    full_check_quaternion_variants,
+    full_table_is_hadamard,
     gosper_next,
     gosper_scan_quaternion,
     gosper_scan_two_generator,
+    heap_scan_quaternion,
     least_geq_with_weight,
 )
 
@@ -61,6 +64,31 @@ def test_join_matches_gosper_scan_on_subranges():
             assert _scan_py.scan_two_generator(fam, t, lo, hi, first) == (
                 gosper_scan_two_generator(fam, t, lo, hi, first)
             ), (fam, t, lo, hi, first)
+
+
+def test_necklaces_are_the_minimal_rotations():
+    for h in range(1, 15):
+        mask = (1 << h) - 1
+        brute = {min(((x >> k) | (x << (h - k))) & mask for k in range(h)) for x in range(1 << h)}
+        assert list(_scan_py._necklaces(h)) == sorted(brute), h
+
+
+def test_row0_filter_matches_full_table_oracle():
+    # every power survivor for t <= 6, a seeded sample of 20,000 per family at t = 8
+    rng = random.Random(80)
+    verdicts = set()
+    for t in (1, 2, 3, 4, 5, 6, 8):
+        h = 2 * t
+        for fam in (0, 1, 2):
+            survivors = list(_scan_py._power_survivors(h, 1 if fam == 0 else 0, 0, 1 << (2 * h)))
+            if t == 8:
+                assert len(survivors) > 20000
+                survivors = rng.sample(survivors, 20000)
+            for a in survivors:
+                want = full_table_is_hadamard(a, h, fam == 2)
+                assert _scan_py._is_hadamard(a, h, fam == 2) == want, (fam, t, a)
+                verdicts.add((t, want))
+    assert (8, True) in verdicts and (8, False) in verdicts
 
 
 def test_rank_counts_stream_candidates_below():
@@ -116,6 +144,29 @@ def test_quaternion_join_matches_gosper_scan_on_subranges():
             ), (t, lo, hi, first)
 
 
+def test_quaternion_join_matches_heap_merge_oracle():
+    # all mode visits only a-weight matches; the oracle merges every survivor
+    for t in (1, 3, 5, 7):
+        for first in (False, True):
+            assert _scan_py.scan_quaternion(t, 0, 1 << (4 * t), first) == (
+                heap_scan_quaternion(t, 0, 1 << (4 * t), first)
+            ), (t, first)
+    for first in (False, True):
+        assert _scan_partition(_scan_py.scan_quaternion, 7, 64, first) == (
+            _scan_partition(heap_scan_quaternion, 7, 64, first)
+        ), first
+    rng = random.Random(9099)
+    accepted = 0
+    for _ in range(16):
+        lo = rng.randrange(1 << 36)
+        hi = lo + rng.randrange(1, 1 << 26)
+        for first in (False, True):
+            got = _scan_py.scan_quaternion(9, lo, hi, first)
+            assert got == heap_scan_quaternion(9, lo, hi, first), (lo, hi, first)
+        accepted += len(got[0])
+    assert accepted
+
+
 def test_quaternion_rank_counts_stream_candidates_below():
     for t in (1, 2, 3):
         n = 4 * t
@@ -146,5 +197,7 @@ def test_quaternion_b_derivation_and_relations_never_reject():
             if all((d & m).bit_count() % 2 == 0 for m in strands):
                 words.append((7, d))
     for t, d in words:
-        _, nob, rel, _ = _scan_py._quaternion_variants(d, t, (True, True), False)
-        assert nob == rel == 0, (t, d)
+        got = _scan_py._quaternion_variants(d, t, (True, True), False)
+        assert got[1] == got[2] == 0, (t, d)
+        # the same derivation and verdicts as the bit-by-bit full-table check
+        assert got == full_check_quaternion_variants(d, t, (True, True), False), (t, d)

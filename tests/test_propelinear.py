@@ -105,6 +105,19 @@ def test_element_power_matches_iterated_star_on_any_permutation(n, data):
         assert element_power(x, i) == iterated_star_power(x, i)
 
 
+@given(st.integers(2, 12), st.data())
+def test_element_power_on_elements_sharing_a_permutation(n, data):
+    """Two vectors on one permutation, calls interleaved: no power leaks across."""
+    p = Permutation(tuple(data.draw(st.permutations(range(1, n + 1)))))
+    v1 = data.draw(st.integers(0, (1 << n) - 1))
+    v2 = data.draw(st.integers(0, (1 << n) - 1).filter(lambda v: v != v1))
+    x = PropelinearElement(BitVector(n, v1), p)
+    y = PropelinearElement(BitVector(n, v2), p)
+    for i in range(1, 2 * n + 2):
+        assert element_power(x, i) == iterated_star_power(x, i)
+        assert element_power(y, i) == iterated_star_power(y, i)
+
+
 def _even_weight_generators():
     a = _elem("1100", [(1, 2), (3, 4)], (1, 0, 0))
     b = _elem("1010", [(1, 3), (2, 4)], (0, 1, 0))

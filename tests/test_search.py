@@ -4,10 +4,12 @@ from math import comb
 
 import pytest
 
+from hfpc import _scan_py
 from hfpc.gf2 import BitVector
 from hfpc.search import (
     DEEP_GATE,
     SearchTask,
+    _partition,
     analytic_nonexistence,
     candidate_count,
     dedup,
@@ -114,6 +116,17 @@ def test_run_search_quaternion_t9_first_mode_counters():
     }
     assert [int(a.candidate, 2) for a in first.accepted] == [15981887]
     assert first.accepted[0].profile.rk == (35, 1)
+
+
+def test_quaternion_t9_full_scan_counters():
+    # the whole 1,134,373,680-candidate tqu t = 9 stream, scanned as 64 chunks
+    accepted, counters = 0, [0] * 5
+    for lo, hi in _partition(0, 1 << 36, 64):
+        acc, ctr = _scan_py.scan_quaternion(9, lo, hi)
+        accepted += len(acc)
+        counters = [x + y for x, y in zip(counters, ctr)]
+    assert counters == [1134373680, 1114716924, 0, 0, 78620544]
+    assert accepted == 3240
 
 
 def test_run_search_4tu2_t8_exact_counts():
