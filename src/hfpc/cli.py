@@ -29,7 +29,6 @@ from .search import (
     SearchTask,
     TableCell,
     candidate_count,
-    default_workers,
     reproduce_table,
     run_search,
 )
@@ -69,10 +68,8 @@ def cmd_search(args, parser: _Parser) -> int:
     mode = "all" if args.all else "first"
     task = SearchTask(args.family, args.t, mode=mode)
     try:
-        # --workers 0, like no --workers, means the default
-        result = run_search(
-            task, workers=args.workers or default_workers(), checkpoint=args.checkpoint
-        )
+        # run_search treats --workers 0 as 1
+        result = run_search(task, workers=args.workers)
     except BoundViolation as exc:
         sys.stderr.write("bound violation: %s\n" % exc)
         return INTERNAL_EXIT
@@ -215,12 +212,7 @@ def _cell_text(cell: TableCell) -> str:
 
 def cmd_table(args, parser: _Parser) -> int:
     try:
-        rows = reproduce_table(
-            args.tmax,
-            deep=args.deep,
-            workers=args.workers,
-            checkpoint_dir=args.checkpoint_dir,
-        )
+        rows = reproduce_table(args.tmax, deep=args.deep, workers=args.workers)
     except BoundViolation as exc:
         sys.stderr.write("bound violation: %s\n" % exc)
         return INTERNAL_EXIT
@@ -275,10 +267,9 @@ def build_parser() -> _Parser:
     mode = p_search.add_mutually_exclusive_group()
     mode.add_argument("--all", action="store_true", help="report every accepted code")
     mode.add_argument("--first", action="store_true", help="stop at the first code")
-    p_search.add_argument("--workers", type=int, default=None)
+    p_search.add_argument("--workers", type=int, default=1)
     p_search.add_argument("--deep", action="store_true")
     p_search.add_argument("--output", default=None)
-    p_search.add_argument("--checkpoint", default=None)
 
     p_verify = sub.add_parser("verify", help="profile an explicit generator")
     p_verify.add_argument("--family", required=True, choices=SEARCH_TAGS)
@@ -300,10 +291,9 @@ def build_parser() -> _Parser:
     p_table = sub.add_parser("table", help="reproduce the results table")
     p_table.add_argument("--tmax", required=True, type=int)
     p_table.add_argument("--deep", action="store_true")
-    p_table.add_argument("--workers", type=int, default=None)
+    p_table.add_argument("--workers", type=int, default=1)
     p_table.add_argument("--format", choices=["text", "csv"], default="text")
     p_table.add_argument("--output", default=None)
-    p_table.add_argument("--checkpoint-dir", default=None)
     return parser
 
 

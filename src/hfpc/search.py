@@ -3,24 +3,22 @@ parallelism, deduplication, and reproduction of the results table.
 
 The raw candidate space for (family, t) is the integer interval [0, 2^4t) in
 the BitVector layout; the candidate stream is its ascending subset of
-plausible generators (weight 2t plus the cheap order filters).  Work is split
-into contiguous subranges merged in range order, so results are identical for
-any worker count; accepted candidates are re-assembled through the reference
-constructors in hfpc.families before being reported, which cross-checks the
-scan kernels.
+plausible generators (weight 2t plus the cheap order filters).  A search is
+one pass: one worker scans its whole range in one kernel call, and a process
+pool of N workers scans contiguous subranges whose results are merged in range
+order, so results are identical for any worker count.  Accepted candidates
+are re-assembled through the reference constructors in hfpc.families before
+being reported, which cross-checks the scan kernels.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from math import comb
-from typing import Callable
 
 from . import _backend
 from .families import (
@@ -44,7 +42,6 @@ __all__ = [
     "dedup",
     "analytic_nonexistence",
     "reproduce_table",
-    "default_workers",
 ]
 
 _FAMILY_CODE = {"4tu2": 0, "2t22u": 1, "2t4u": 2}
@@ -52,13 +49,6 @@ _FAMILY_CODE = {"4tu2": 0, "2t22u": 1, "2t4u": 2}
 # Cells with more candidates than this require the deep flag; the threshold is
 # below 2^30 so that the hours-scale length-32 enumerations are always gated.
 DEEP_GATE = 1 << 28
-
-
-def default_workers() -> int:
-    env = os.environ.get("HFP_THREADS")
-    if env:
-        return max(1, int(env))
-    return 1
 
 
 @dataclass(frozen=True)
@@ -129,7 +119,10 @@ def candidate_count(tag: str, t: int) -> int:
 
 
 def _chunk_count(workers: int) -> int:
-    return 1 << max(0, math.ceil(math.log2(workers * 64)))
+    """One range for one worker; 64 chunks per pool worker, rounded up to 2^k."""
+    if workers <= 1:
+        return 1
+    return 1 << math.ceil(math.log2(workers * 64))
 
 
 def _partition(lo: int, hi: int, chunks: int) -> list[tuple[int, int]]:
@@ -152,23 +145,12 @@ def _scan_chunk(args: tuple) -> tuple:
     return _backend.scan_two_generator(_FAMILY_CODE[family], t, lo, hi, first_only)
 
 
-def _run_chunks(
-    chunk_args: list[tuple],
-    workers: int,
-    stop_early: bool,
-    on_chunk: Callable[[int, tuple], None] | None = None,
-) -> list[tuple]:
+def _run_chunks(chunk_args: list[tuple], workers: int, stop_early: bool) -> list[tuple]:
     """Run chunks, consuming results strictly in submission order."""
-    results: list[tuple] = []
     if workers <= 1:
-        for idx, args in enumerate(chunk_args):
-            res = _scan_chunk(args)
-            results.append(res)
-            if on_chunk:
-                on_chunk(idx, res)
-            if stop_early and res[0]:
-                break
-        return results
+        # one worker gets one chunk (_chunk_count), so there is nothing to stop
+        return [_scan_chunk(args) for args in chunk_args]
+    results: list[tuple] = []
     with ProcessPoolExecutor(max_workers=workers) as ex:
         pending = {}
         window = workers * 2
@@ -182,8 +164,6 @@ def _run_chunks(
                 submitted += 1
             res = pending.pop(consumed).result()
             results.append(res)
-            if on_chunk:
-                on_chunk(consumed, res)
             consumed += 1
             if stop_early and res[0]:
                 stopped = True
@@ -214,11 +194,7 @@ def _verify_quaternion(t: int, triple: tuple[int, int, int]) -> PropelinearCode:
     return code
 
 
-def run_search(
-    task: SearchTask,
-    workers: int | None = None,
-    checkpoint: str | None = None,
-) -> SearchResult:
+def run_search(task: SearchTask, workers: int = 1) -> SearchResult:
     """Scan the task range; accepted candidates are re-assembled and profiled.
 
     Output (accepted order, counters) is independent of the worker count: in
@@ -229,7 +205,7 @@ def run_search(
         raise ValueError("unknown family %r" % task.family)
     if task.family == "tqu" and task.t % 2 == 0:
         raise ValueError("quaternion family requires odd t")
-    workers = default_workers() if workers is None else max(1, workers)
+    workers = max(1, workers)
     t0 = time.perf_counter()
     lo, hi = task.bounds()
     counter_names = (
@@ -237,27 +213,13 @@ def run_search(
     )
     first_only = task.mode == "first"
 
-    state = _CheckpointState.load(checkpoint, task, _chunk_count(workers))
-    # a resumed checkpoint pins its own partition, so any worker count works
-    chunk_bounds = _partition(lo, hi, state.header["chunks"])
     chunk_args = [
         (task.family, task.t, c_lo, c_hi, first_only)
-        for (c_lo, c_hi) in chunk_bounds
+        for (c_lo, c_hi) in _partition(lo, hi, _chunk_count(workers))
     ]
-    todo = [i for i in range(len(chunk_args)) if i not in state.completed]
-
-    def on_chunk(pos: int, res: tuple) -> None:
-        idx = todo[pos]
-        state.record(idx, res)
-        if checkpoint:
-            state.flush(checkpoint)
-
-    _run_chunks([chunk_args[i] for i in todo], workers, first_only, on_chunk)
-
     counters = Counter()
     accepted_raw: list = []
-    for idx in sorted(state.completed):
-        acc, ctr = state.results[idx]
+    for acc, ctr in _run_chunks(chunk_args, workers, first_only):
         for name, val in zip(counter_names, ctr):
             counters[name] += val
         accepted_raw.extend(acc)
@@ -303,65 +265,6 @@ def run_search(
     )
 
 
-class _CheckpointState:
-    """Per-chunk progress store; written atomically after every chunk."""
-
-    def __init__(self, header: dict):
-        self.header = header
-        self.completed: set[int] = set()
-        self.results: dict[int, tuple] = {}
-
-    @classmethod
-    def load(cls, path: str | None, task: SearchTask, n_chunks: int) -> "_CheckpointState":
-        lo, hi = task.bounds()
-        header = {
-            "family": task.family,
-            "t": task.t,
-            "lo": lo,
-            "hi": hi,
-            "mode": task.mode,
-            "chunks": n_chunks,
-        }
-        state = cls(header)
-        if path and os.path.exists(path):
-            with open(path) as fh:
-                data = json.load(fh)
-            stored = data.get("header", {})
-            identity = {k: v for k, v in header.items() if k != "chunks"}
-            if {k: v for k, v in stored.items() if k != "chunks"} != identity:
-                raise ValueError(
-                    "checkpoint %s belongs to a different task" % path
-                )
-            state.header["chunks"] = stored["chunks"]
-            for idx_s, (acc, ctr) in data["results"].items():
-                idx = int(idx_s)
-                acc = [tuple(x) if isinstance(x, list) else x for x in acc]
-                state.completed.add(idx)
-                state.results[idx] = (acc, tuple(ctr))
-        return state
-
-    def record(self, idx: int, res: tuple) -> None:
-        self.completed.add(idx)
-        self.results[idx] = res
-
-    def flush(self, path: str) -> None:
-        data = {
-            "header": self.header,
-            "results": {
-                str(i): [list(map(_jsonable, acc)), list(ctr)]
-                for i, (acc, ctr) in self.results.items()
-            },
-        }
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(data, fh)
-        os.replace(tmp, path)
-
-
-def _jsonable(x):
-    return list(x) if isinstance(x, tuple) else x
-
-
 def dedup(accepted: list[AcceptedCode]) -> list[AcceptedCode]:
     """One representative per distinct code set, keeping stream order."""
     seen: set[frozenset[int]] = set()
@@ -399,10 +302,7 @@ class TableCell:
 
 
 def reproduce_table(
-    t_max: int,
-    deep: bool = False,
-    workers: int | None = None,
-    checkpoint_dir: str | None = None,
+    t_max: int, deep: bool = False, workers: int = 1
 ) -> list[list[TableCell]]:
     """One row per t, one cell per family, mirroring the results table."""
     rows = []
@@ -419,14 +319,7 @@ def reproduce_table(
             if count > DEEP_GATE and not deep:
                 row.append(TableCell(tag, t, "skipped-budget", candidates=count))
                 continue
-            ckpt = None
-            if checkpoint_dir:
-                ckpt = os.path.join(
-                    checkpoint_dir, "table_%s_t%d.json" % (tag, t)
-                )
-            result = run_search(
-                SearchTask(tag, t, mode="all"), workers=workers, checkpoint=ckpt
-            )
+            result = run_search(SearchTask(tag, t, mode="all"), workers=workers)
             profs = tuple(
                 sorted({a.profile.rk for a in dedup(result.accepted)})
             )

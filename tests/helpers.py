@@ -64,6 +64,10 @@ EXPECTED_CELLS = {
     ("2t22u", 7): "analytic",
     ("2t4u", 7): "analytic",
     ("tqu", 7): ((27, 1),),
+    ("4tu2", 9): "analytic",
+    ("2t22u", 9): "analytic",
+    ("2t4u", 9): "analytic",
+    ("tqu", 9): ((35, 1),),
 }
 
 

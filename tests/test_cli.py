@@ -57,6 +57,9 @@ def test_usage_errors_exit_64():
     # quaternion family needs odd t
     assert run_cli("search", "--family", "tqu", "--t", "2", "--all")[0] == 64
     assert run_cli("verify", "--family", "tqu", "--t", "2", "--d", "10100101")[0] == 64
+    # a search is one pass; there is no resume file to name
+    assert run_cli("search", "--family", "tqu", "--t", "3", "--all", "--checkpoint", "x")[0] == 64
+    assert run_cli("table", "--tmax", "2", "--checkpoint-dir", "x")[0] == 64
 
 
 def test_search_json_lines():
@@ -155,7 +158,7 @@ def test_conjecture_flagging(monkeypatch):
         accepted=[AcceptedCode("2t4u", 10, "01" * 20, prof, frozenset({0, (1 << 40) - 1}))],
         counters={"examined": 1}, distinct_code_sets=1, wall_time=0.0,
     )
-    monkeypatch.setattr(cli_mod, "run_search", lambda task, workers, checkpoint: fake)
+    monkeypatch.setattr(cli_mod, "run_search", lambda task, workers: fake)
     monkeypatch.setattr(cli_mod, "candidate_count", lambda f, t: 1)
     code, out, _ = run_cli("search", "--family", "2t4u", "--t", "10", "--all", "--deep")
     assert code == 0
@@ -163,11 +166,3 @@ def test_conjecture_flagging(monkeypatch):
     assert records[0]["conjecture_counterexample_candidate"] is True
     assert "codewords" in records[0]
     assert records[-1]["conjecture_counterexample_candidates"] == 1
-
-
-def test_env_workers(monkeypatch):
-    monkeypatch.setenv("HFP_THREADS", "2")
-    _, out_env, _ = run_cli("search", "--family", "2t4u", "--t", "2", "--all")
-    monkeypatch.delenv("HFP_THREADS")
-    _, out_one, _ = run_cli("search", "--family", "2t4u", "--t", "2", "--all")
-    assert out_env == out_one

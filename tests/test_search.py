@@ -4,12 +4,11 @@ from math import comb
 
 import pytest
 
-from hfpc import _scan_py
 from hfpc.gf2 import BitVector
 from hfpc.search import (
     DEEP_GATE,
     SearchTask,
-    _partition,
+    _chunk_count,
     analytic_nonexistence,
     candidate_count,
     dedup,
@@ -119,14 +118,20 @@ def test_run_search_quaternion_t9_first_mode_counters():
 
 
 def test_quaternion_t9_full_scan_counters():
-    # the whole 1,134,373,680-candidate tqu t = 9 stream, scanned as 64 chunks
-    accepted, counters = 0, [0] * 5
-    for lo, hi in _partition(0, 1 << 36, 64):
-        acc, ctr = _scan_py.scan_quaternion(9, lo, hi)
-        accepted += len(acc)
-        counters = [x + y for x, y in zip(counters, ctr)]
-    assert counters == [1134373680, 1114716924, 0, 0, 78620544]
-    assert accepted == 3240
+    # the whole 1,134,373,680-candidate tqu t = 9 stream, summed over the
+    # 128-chunk partition of a two-worker pool, every code re-assembled
+    res = run_search(SearchTask("tqu", 9, mode="all"), workers=2)
+    assert res.counters == {
+        "examined": 1134373680,
+        "rejected_power": 1114716924,
+        "rejected_no_b": 0,
+        "rejected_relation": 0,
+        "rejected_hadamard": 78620544,
+        "accepted": 3240,
+    }
+    assert len(res.accepted) == res.distinct_code_sets == 3240
+    profiles = tuple(sorted({a.profile.rk for a in res.accepted}))
+    assert profiles == EXPECTED_CELLS[("tqu", 9)] == ((35, 1),)
 
 
 def test_run_search_4tu2_t8_exact_counts():
@@ -156,6 +161,35 @@ def test_run_search_deterministic_across_workers():
     f1 = strip(run_search(SearchTask("2t4u", 4, mode="first"), workers=1))
     f4 = strip(run_search(SearchTask("2t4u", 4, mode="first"), workers=4))
     assert f1 == f4
+    a1 = strip(run_search(SearchTask("2t4u", 4, mode="all"), workers=1))
+    a2 = strip(run_search(SearchTask("2t4u", 4, mode="all"), workers=2))
+    assert a1 == a2
+
+
+def test_one_worker_scans_its_range_in_one_call(monkeypatch):
+    import hfpc._backend as backend
+
+    calls = []
+
+    def recording(kernel):
+        def wrapped(*args):
+            calls.append(args[-3:-1])  # (lo, hi) of the call
+            return kernel(*args)
+        return wrapped
+
+    for name in ("scan_two_generator", "scan_quaternion"):
+        monkeypatch.setattr(backend, name, recording(getattr(backend, name)))
+    for task in (
+        SearchTask("2t4u", 4, mode="all"),
+        SearchTask("tqu", 5, mode="all"),
+        SearchTask("2t22u", 4, 1 << 10, 1 << 15, mode="all"),
+        SearchTask("tqu", 7, mode="first"),
+    ):
+        calls.clear()
+        run_search(task, workers=1)
+        assert calls == [task.bounds()], task
+    assert _chunk_count(1) == 1
+    assert _chunk_count(2) == 128
 
 
 def test_subrange_tasks_partition_the_space():
@@ -243,29 +277,6 @@ def test_reproduce_table_budget_gate(monkeypatch):
     deep_cells = {(c.family, c.t): c for row in deep_rows for c in row}
     assert deep_cells[("4tu2", 2)].status == "searched"
     assert deep_cells[("4tu2", 2)].profiles == ((4, 4),)
-
-
-def test_checkpoint_resume(tmp_path):
-    from hfpc.search import _CheckpointState, _partition, _scan_chunk
-
-    path = str(tmp_path / "ckpt.json")
-    task = SearchTask("2t4u", 4, mode="all")
-    lo, hi = task.bounds()
-    bounds = _partition(lo, hi, 128)
-    state = _CheckpointState.load(path, task, 128)
-    for i in range(3):  # pretend an interrupted run finished three chunks
-        state.record(i, _scan_chunk(("2t4u", 4, bounds[i][0], bounds[i][1], False)))
-    state.flush(path)
-    # resuming adopts the recorded partition, for any worker count
-    resumed = run_search(task, workers=2, checkpoint=path)
-    fresh = run_search(task, workers=1)
-    assert resumed.counters == fresh.counters
-    assert [a.candidate for a in resumed.accepted] == [
-        a.candidate for a in fresh.accepted
-    ]
-    # a checkpoint for a different task is refused
-    with pytest.raises(ValueError):
-        run_search(SearchTask("2t22u", 4, mode="all"), checkpoint=path)
 
 
 def test_stream_rejects_bad_tags():
