@@ -1,9 +1,10 @@
 """Command-line surface: search, verify, cchm conversions, table reproduction.
 
 Exit codes: 0 success, 1 failed predicate (verify), 2 internal invariant
-violation, 64 usage or parse errors.  Result streams are JSON lines with a
-deterministic key order; wall-clock timings go to stderr only, so repeated
-runs produce byte-identical output for any worker count.
+violation, 64 usage or parse errors and an output file that cannot be opened.
+Result streams are JSON lines with a deterministic key order; wall-clock
+timings go to stderr only, so repeated runs produce byte-identical output for
+any worker count.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from . import _backend
 from .cchm import (
@@ -48,6 +50,17 @@ def _dump(obj: dict, out) -> None:
     out.write(json.dumps(obj) + "\n")
 
 
+def _open_output(path: str | None):
+    """stdout, or the named file, opened before any search runs."""
+    if not path:
+        return nullcontext(sys.stdout)
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        sys.stderr.write("error: cannot open output: %s\n" % exc)
+        raise SystemExit(USAGE_EXIT)
+
+
 def _parse_vector(text: str, n: int, parser: _Parser) -> BitVector:
     try:
         v = BitVector.from_string(text)
@@ -67,17 +80,16 @@ def cmd_search(args, parser: _Parser) -> int:
         )
     mode = "all" if args.all else "first"
     task = SearchTask(args.family, args.t, mode=mode)
-    try:
-        # run_search treats --workers 0 as 1
-        result = run_search(task, workers=args.workers)
-    except BoundViolation as exc:
-        sys.stderr.write("bound violation: %s\n" % exc)
-        return INTERNAL_EXIT
-    # codes of this family beyond t = 8 would contradict the nonexistence
-    # conjecture for circulant complex Hadamard matrices; dump them in full
-    flag_counterexamples = args.family == "2t4u" and args.t > 8
-    out = open(args.output, "w") if args.output else sys.stdout
-    try:
+    with _open_output(args.output) as out:
+        try:
+            # run_search treats --workers 0 as 1
+            result = run_search(task, workers=args.workers)
+        except BoundViolation as exc:
+            sys.stderr.write("bound violation: %s\n" % exc)
+            return INTERNAL_EXIT
+        # codes of this family beyond t = 8 would contradict the nonexistence
+        # conjecture for circulant complex Hadamard matrices; dump them in full
+        flag_counterexamples = args.family == "2t4u" and args.t > 8
         for acc in result.accepted:
             record = acc.profile.to_json_dict()
             if flag_counterexamples:
@@ -99,9 +111,6 @@ def cmd_search(args, parser: _Parser) -> int:
         if flag_counterexamples:
             summary["conjecture_counterexample_candidates"] = len(result.accepted)
         _dump(summary, out)
-    finally:
-        if args.output:
-            out.close()
     sys.stderr.write(
         "search %s t=%d: %d accepted (%d distinct) in %.2fs [%s backend]\n"
         % (
@@ -211,13 +220,12 @@ def _cell_text(cell: TableCell) -> str:
 
 
 def cmd_table(args, parser: _Parser) -> int:
-    try:
-        rows = reproduce_table(args.tmax, deep=args.deep, workers=args.workers)
-    except BoundViolation as exc:
-        sys.stderr.write("bound violation: %s\n" % exc)
-        return INTERNAL_EXIT
-    out = open(args.output, "w") if args.output else sys.stdout
-    try:
+    with _open_output(args.output) as out:
+        try:
+            rows = reproduce_table(args.tmax, deep=args.deep, workers=args.workers)
+        except BoundViolation as exc:
+            sys.stderr.write("bound violation: %s\n" % exc)
+            return INTERNAL_EXIT
         if args.format == "csv":
             out.write("t,family,status,profiles,candidates,accepted,distinct\n")
             for row in rows:
@@ -251,9 +259,6 @@ def cmd_table(args, parser: _Parser) -> int:
                 out.write(
                     " | ".join(x.ljust(w) for x, w in zip(r, widths)) + "\n"
                 )
-    finally:
-        if args.output:
-            out.close()
     return 0
 
 

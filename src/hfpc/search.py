@@ -4,11 +4,12 @@ parallelism, deduplication, and reproduction of the results table.
 The raw candidate space for (family, t) is the integer interval [0, 2^4t) in
 the BitVector layout; the candidate stream is its ascending subset of
 plausible generators (weight 2t plus the cheap order filters).  A search is
-one pass: one worker scans its whole range in one kernel call, and a process
-pool of N workers scans contiguous subranges whose results are merged in range
-order, so results are identical for any worker count.  Accepted candidates
-are re-assembled through the reference constructors in hfpc.families before
-being reported, which cross-checks the scan kernels.
+one pass: one worker scans the whole space in one kernel call, and a process
+pool of N workers splits it into N contiguous subranges, one per worker, whose
+results are merged in range order, so results are identical for any worker
+count.  Accepted candidates are re-assembled through the reference
+constructors in hfpc.families before being reported, which cross-checks the
+scan kernels.
 """
 
 from __future__ import annotations
@@ -55,14 +56,7 @@ DEEP_GATE = 1 << 28
 class SearchTask:
     family: str
     t: int
-    lo: int = 0
-    hi: int | None = None
     mode: str = "all"  # or "first"
-
-    def bounds(self) -> tuple[int, int]:
-        top = 1 << (4 * self.t)
-        hi = top if self.hi is None else min(self.hi, top)
-        return max(0, self.lo), hi
 
 
 @dataclass(frozen=True)
@@ -118,23 +112,13 @@ def candidate_count(tag: str, t: int) -> int:
     raise ValueError("no candidate stream for family %r" % tag)
 
 
-def _chunk_count(workers: int) -> int:
-    """One range for one worker; 64 chunks per pool worker, rounded up to 2^k."""
-    if workers <= 1:
-        return 1
-    return 1 << math.ceil(math.log2(workers * 64))
-
-
 def _partition(lo: int, hi: int, chunks: int) -> list[tuple[int, int]]:
     """Contiguous subranges by leading range fraction; exact cover of [lo, hi)."""
     span = hi - lo
-    if span <= 0:
-        return []
-    chunks = min(chunks, span)
+    chunks = min(chunks, span)  # so that no subrange is empty
     return [
         (lo + m * span // chunks, lo + (m + 1) * span // chunks)
         for m in range(chunks)
-        if m * span // chunks != (m + 1) * span // chunks
     ]
 
 
@@ -145,31 +129,12 @@ def _scan_chunk(args: tuple) -> tuple:
     return _backend.scan_two_generator(_FAMILY_CODE[family], t, lo, hi, first_only)
 
 
-def _run_chunks(chunk_args: list[tuple], workers: int, stop_early: bool) -> list[tuple]:
-    """Run chunks, consuming results strictly in submission order."""
+def _run_chunks(chunk_args: list[tuple], workers: int) -> list[tuple]:
+    """Scan every chunk at once, one per pool worker; results in range order."""
     if workers <= 1:
-        # one worker gets one chunk (_chunk_count), so there is nothing to stop
         return [_scan_chunk(args) for args in chunk_args]
-    results: list[tuple] = []
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        pending = {}
-        window = workers * 2
-        submitted = 0
-        consumed = 0
-        total = len(chunk_args)
-        stopped = False
-        while consumed < total and not stopped:
-            while submitted < total and submitted - consumed < window:
-                pending[submitted] = ex.submit(_scan_chunk, chunk_args[submitted])
-                submitted += 1
-            res = pending.pop(consumed).result()
-            results.append(res)
-            consumed += 1
-            if stop_early and res[0]:
-                stopped = True
-        for fut in pending.values():
-            fut.cancel()
-    return results
+    with ProcessPoolExecutor(workers) as ex:
+        return list(ex.map(_scan_chunk, chunk_args))
 
 
 def _verify_two_generator(tag: str, t: int, a_val: int) -> PropelinearCode:
@@ -195,7 +160,7 @@ def _verify_quaternion(t: int, triple: tuple[int, int, int]) -> PropelinearCode:
 
 
 def run_search(task: SearchTask, workers: int = 1) -> SearchResult:
-    """Scan the task range; accepted candidates are re-assembled and profiled.
+    """Scan the candidate space; accepted candidates are re-assembled and profiled.
 
     Output (accepted order, counters) is independent of the worker count: in
     mode "all" counters are sums over an exact partition, and in mode "first"
@@ -207,24 +172,22 @@ def run_search(task: SearchTask, workers: int = 1) -> SearchResult:
         raise ValueError("quaternion family requires odd t")
     workers = max(1, workers)
     t0 = time.perf_counter()
-    lo, hi = task.bounds()
     counter_names = (
         _QUATERNION_COUNTERS if task.family == "tqu" else _TWO_GEN_COUNTERS
     )
     first_only = task.mode == "first"
 
     chunk_args = [
-        (task.family, task.t, c_lo, c_hi, first_only)
-        for (c_lo, c_hi) in _partition(lo, hi, _chunk_count(workers))
+        (task.family, task.t, lo, hi, first_only)
+        for lo, hi in _partition(0, 1 << (4 * task.t), workers)
     ]
     counters = Counter()
     accepted_raw: list = []
-    for acc, ctr in _run_chunks(chunk_args, workers, first_only):
+    for acc, ctr in _run_chunks(chunk_args, workers):
         for name, val in zip(counter_names, ctr):
             counters[name] += val
         accepted_raw.extend(acc)
         if first_only and acc:
-            accepted_raw = accepted_raw[:1]
             break
 
     accepted: list[AcceptedCode] = []

@@ -68,6 +68,10 @@ EXPECTED_CELLS = {
     ("2t22u", 9): "analytic",
     ("2t4u", 9): "analytic",
     ("tqu", 9): ((35, 1),),
+    ("4tu2", 10): (),
+    ("2t22u", 10): "analytic",
+    ("2t4u", 10): (),
+    ("tqu", 10): "na",
 }
 
 

@@ -66,6 +66,25 @@ def test_join_matches_gosper_scan_on_subranges():
             ), (fam, t, lo, hi, first)
 
 
+def test_join_matches_gosper_scan_around_t10_survivors():
+    # the empty t = 10 cells rest on more than the join: seeded subranges
+    # around seeded power survivors of 4tu2 and 2t4u, against the full scan
+    rng = random.Random(10)
+    tops, partners = _scan_py._join_table(20)
+    for fam, need_odd in ((0, 1), (2, 0)):
+        idxs = [i for i, top in enumerate(tops) if top.bit_count() & 1 == need_odd]
+        survivors = 0
+        for _ in range(8):
+            i = rng.choice(idxs)
+            a = (tops[i] << 20) | rng.choice(partners[i])
+            lo, hi = a - rng.randrange(1, 1 << 16), a + rng.randrange(1, 1 << 16)
+            for first in (False, True):
+                got = _scan_py.scan_two_generator(fam, 10, lo, hi, first)
+                assert got == gosper_scan_two_generator(fam, 10, lo, hi, first), (fam, lo, hi)
+            survivors += got[1][2]
+        assert survivors >= 8, fam
+
+
 def test_necklaces_are_the_minimal_rotations():
     for h in range(1, 15):
         mask = (1 << h) - 1

@@ -166,3 +166,23 @@ def test_conjecture_flagging(monkeypatch):
     assert records[0]["conjecture_counterexample_candidate"] is True
     assert "codewords" in records[0]
     assert records[-1]["conjecture_counterexample_candidates"] == 1
+
+
+def test_unopenable_output_exits_64_before_any_search(monkeypatch, tmp_path):
+    import hfpc.cli as cli_mod
+    import hfpc.search as search_mod
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched before opening the output")
+
+    monkeypatch.setattr(cli_mod, "run_search", no_search)
+    monkeypatch.setattr(search_mod, "run_search", no_search)
+    missing = str(tmp_path / "missing" / "x.json")
+    for argv in (
+        ("search", "--family", "tqu", "--t", "3", "--all", "--output", missing),
+        ("table", "--tmax", "3", "--output", missing),
+    ):
+        code, out, err = run_cli(*argv)
+        assert code == 64, argv
+        assert out == "" and "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -8,7 +8,6 @@ from hfpc.gf2 import BitVector
 from hfpc.search import (
     DEEP_GATE,
     SearchTask,
-    _chunk_count,
     analytic_nonexistence,
     candidate_count,
     dedup,
@@ -119,7 +118,7 @@ def test_run_search_quaternion_t9_first_mode_counters():
 
 def test_quaternion_t9_full_scan_counters():
     # the whole 1,134,373,680-candidate tqu t = 9 stream, summed over the
-    # 128-chunk partition of a two-worker pool, every code re-assembled
+    # two chunks of a two-worker pool, every code re-assembled
     res = run_search(SearchTask("tqu", 9, mode="all"), workers=2)
     assert res.counters == {
         "examined": 1134373680,
@@ -132,6 +131,26 @@ def test_quaternion_t9_full_scan_counters():
     assert len(res.accepted) == res.distinct_code_sets == 3240
     profiles = tuple(sorted({a.profile.rk for a in res.accepted}))
     assert profiles == EXPECTED_CELLS[("tqu", 9)] == ((35, 1),)
+
+
+def test_two_generator_t10_cells_are_empty():
+    # the t = 10 row: both searched cells over a two-worker pool, exact counters
+    for tag, counters in (
+        ("2t4u", (68923356788, 68922639988, 716800)),
+        ("4tu2", (68923172032, 68922128832, 1043200)),
+    ):
+        res = run_search(SearchTask(tag, 10, mode="all"), workers=2)
+        assert res.counters == {
+            "examined": counters[0],
+            "rejected_power": counters[1],
+            "rejected_hadamard": counters[2],
+            "accepted": 0,
+        }, tag
+        assert res.counters["examined"] == candidate_count(tag, 10)
+        assert res.accepted == [] and res.distinct_code_sets == 0
+        assert EXPECTED_CELLS[(tag, 10)] == ()
+    assert analytic_nonexistence("2t22u", 10)
+    assert EXPECTED_CELLS[("2t22u", 10)] == "analytic"
 
 
 def test_run_search_4tu2_t8_exact_counts():
@@ -182,26 +201,32 @@ def test_one_worker_scans_its_range_in_one_call(monkeypatch):
     for task in (
         SearchTask("2t4u", 4, mode="all"),
         SearchTask("tqu", 5, mode="all"),
-        SearchTask("2t22u", 4, 1 << 10, 1 << 15, mode="all"),
         SearchTask("tqu", 7, mode="first"),
     ):
         calls.clear()
         run_search(task, workers=1)
-        assert calls == [task.bounds()], task
-    assert _chunk_count(1) == 1
-    assert _chunk_count(2) == 128
+        assert calls == [(0, 1 << (4 * task.t))], task
 
 
-def test_subrange_tasks_partition_the_space():
-    mid = 1 << 15
-    low = run_search(SearchTask("2t22u", 4, 0, mid, mode="all"))
-    high = run_search(SearchTask("2t22u", 4, mid, 1 << 16, mode="all"))
-    full = run_search(SearchTask("2t22u", 4, mode="all"))
-    assert [a.candidate for a in low.accepted] + [a.candidate for a in high.accepted] == [
-        a.candidate for a in full.accepted
-    ]
-    for key in full.counters:
-        assert low.counters[key] + high.counters[key] == full.counters[key]
+def test_pool_gets_one_chunk_per_worker(monkeypatch):
+    import hfpc.search as search_mod
+
+    parts = []
+    partition = search_mod._partition
+
+    def recording(*args):
+        parts.append(partition(*args))
+        return parts[-1]
+
+    monkeypatch.setattr(search_mod, "_partition", recording)
+    for workers in (1, 2, 3):
+        parts.clear()
+        run_search(SearchTask("tqu", 3, mode="all"), workers=workers)
+        [chunks] = parts
+        assert len(chunks) == workers
+        assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]]
+        assert chunks[-1][1] == 1 << 12
+        assert all(lo < hi for lo, hi in chunks)
 
 
 def test_dedup():
