@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
+from functools import cache
 
 from . import _backend
 from .cchm import (
@@ -262,7 +263,13 @@ def cmd_table(args, parser: _Parser) -> int:
     return 0
 
 
+@cache
 def build_parser() -> _Parser:
+    """The command-line parser, built on first use and shared by every call.
+
+    parse_args returns a fresh Namespace each time, so reuse carries no state
+    from one call to the next.
+    """
     parser = _Parser(prog="hfpc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -25,16 +25,22 @@ class BoundViolation(Exception):
 
 
 def is_hadamard_matrix(m: Sequence[Sequence[int]]) -> bool:
-    """True iff the +-1 matrix satisfies H H^T = n I, checked over the integers."""
+    """True iff the +-1 matrix satisfies H H^T = n I, checked exactly.
+
+    With m_i the bitmask of the -1 entries of row i, the inner product of
+    rows i and j is n - 2 wt(m_i + m_j), so the rows are orthogonal exactly
+    when 2 wt(m_i + m_j) = n; one popcount per pair replaces n products.
+    """
     n = len(m)
     for row in m:
         if len(row) != n:
             raise ValueError("matrix is not square")
         if any(x not in (1, -1) for x in row):
             raise ValueError("entries must be +-1")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if sum(a * b for a, b in zip(m[i], m[j])) != 0:
+    masks = [sum(1 << j for j, x in enumerate(row) if x == -1) for row in m]
+    for i, mi in enumerate(masks):
+        for mj in masks[i + 1 :]:
+            if 2 * (mi ^ mj).bit_count() != n:
                 return False
     return True
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from math import comb
 
@@ -47,8 +46,11 @@ __all__ = [
 
 _FAMILY_CODE = {"4tu2": 0, "2t22u": 1, "2t4u": 2}
 
-# Cells with more candidates than this require the deep flag; the threshold is
-# below 2^30 so that the hours-scale length-32 enumerations are always gated.
+# Cells with more candidates than this require the deep flag.  The gate sits
+# just below the 300,546,630 candidates of the two-generator cells at t = 8, so
+# every cell of word length 32 and up needs --deep.  With the joins such cells
+# scan in seconds (2t4u t = 8 in under half a second), not hours; what grows
+# fast with t is the tqu scan, about 36 s at t = 11.
 DEEP_GATE = 1 << 28
 
 
@@ -133,6 +135,9 @@ def _run_chunks(chunk_args: list[tuple], workers: int) -> list[tuple]:
     """Scan every chunk at once, one per pool worker; results in range order."""
     if workers <= 1:
         return [_scan_chunk(args) for args in chunk_args]
+    # imported here so that one-worker runs never load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(workers) as ex:
         return list(ex.map(_scan_chunk, chunk_args))
 

@@ -5,13 +5,16 @@ rank by explicit span enumeration, kernel by trying every word of F^n,
 minimum distance over every pair, the code of a generator set by closing it
 under the star product, search by running the reference constructor on the
 whole 2^4t space, the candidate stream and the two-generator and
-quaternion scans by visiting every candidate with Gosper's hack, and the
-scans' Hadamard filters by checking every pair of table words.
+quaternion scans by visiting every candidate with Gosper's hack, the scans'
+Hadamard filters by checking every pair of table words, the Hadamard matrix
+check by integer sums of products, and the tqu power-survivor count by a
+convolution over strand weight signatures, with no join.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from heapq import heappop, heappush, heapreplace
 from itertools import combinations
 from typing import Callable, Iterator, Sequence
@@ -122,6 +125,52 @@ def full_pairwise_is_hadamard_code(c, t: int) -> bool:
                 continue
             return False
     return True
+
+
+def integer_is_hadamard_matrix(m: Sequence[Sequence[int]]) -> bool:
+    """True iff the +-1 matrix satisfies H H^T = n I, checked over the integers."""
+    n = len(m)
+    for row in m:
+        if len(row) != n:
+            raise ValueError("matrix is not square")
+        if any(x not in (1, -1) for x in row):
+            raise ValueError("entries must be +-1")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if sum(a * b for a, b in zip(m[i], m[j])) != 0:
+                return False
+    return True
+
+
+def quaternion_power_survivor_count(t: int) -> int:
+    """Number of tqu stream words that pass the power filter, with no join.
+
+    The stream words are the 4-tuples of even-weight t-bit strands; a word
+    survives when the weight signatures (wt S_1, ..., wt S_{t-1}) of its four
+    strands add up to 2t in every field (for t = 1, the one field is the
+    weight).  N(sig) counts the ordered strand pairs whose signatures add up
+    to sig, so the count is the sum of N(sig) N(full - sig) over sig.  Each
+    signature is computed from the strand, S_1 = s and S_j = s + rot S_{j-1}.
+    """
+    mask = (1 << t) - 1
+    fields = max(t - 1, 1)
+
+    def signature(s: int) -> tuple[int, ...]:
+        out = []
+        cur = s
+        for _ in range(fields):
+            out.append(cur.bit_count())
+            cur = s ^ (((cur << 1) | (cur >> (t - 1))) & mask)
+        return tuple(out)
+
+    strands = Counter(signature(s) for s in range(1 << t) if s.bit_count() % 2 == 0)
+    pairs: Counter = Counter()
+    for x, nx in strands.items():
+        for y, ny in strands.items():
+            pairs[tuple(a + b for a, b in zip(x, y))] += nx * ny
+    return sum(
+        n * pairs.get(tuple(2 * t - f for f in sig), 0) for sig, n in pairs.items()
+    )
 
 
 def min_distance(c) -> int:

@@ -18,6 +18,7 @@ from helpers import (
     gosper_scan_two_generator,
     heap_scan_quaternion,
     least_geq_with_weight,
+    quaternion_power_survivor_count,
 )
 
 
@@ -184,6 +185,19 @@ def test_quaternion_join_matches_heap_merge_oracle():
             assert got == heap_scan_quaternion(9, lo, hi, first), (lo, hi, first)
         accepted += len(got[0])
     assert accepted
+
+
+def test_quaternion_power_survivors_match_signature_convolution():
+    for t in (1, 3, 5, 7):
+        _, ctr = _scan_py.scan_quaternion(t, 0, 1 << (4 * t))
+        assert quaternion_power_survivor_count(t) == ctr[0] - ctr[1], t
+    # examined - rejected_power of the full scans at t = 9 and 11, and the
+    # t = 13 count, which no scan reaches yet
+    assert [quaternion_power_survivor_count(t) for t in (9, 11, 13)] == [
+        19_656_756,
+        648_303_480,
+        23_025_763_956,
+    ]
 
 
 def test_quaternion_rank_counts_stream_candidates_below():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from math import isqrt
 
 import pytest
 
@@ -17,6 +18,7 @@ from hfpc.cchm import (
 from hfpc.families import Reject, assemble
 from hfpc.gf2 import BitVector
 from hfpc.hadamard import is_hadamard_code, is_hadamard_matrix, kernel, rank
+from hfpc.search import SearchTask, run_search
 from helpers import (
     GENERATOR_A,
     GENERATOR_B,
@@ -186,3 +188,27 @@ def test_conversion_requires_2t4u():
     assert not isinstance(code, Reject)
     with pytest.raises(ValueError):
         code_to_cchm(code)
+
+
+def _sum_of_two_squares(m: int) -> bool:
+    return any(isqrt(m - a * a) ** 2 == m - a * a for a in range(isqrt(m) + 1))
+
+
+def test_2t4u_cells_whose_order_is_no_sum_of_two_squares_are_empty(accepted_pool):
+    """A 2t4u code of length 4t gives a CCHM M of order 2t.  M 1 = s 1 with
+    s the row sum, a Gaussian integer, and M M* = 2t I, so |s|^2 = 2t: a cell
+    where 2t is not a sum of two integer squares holds no code."""
+    failing = [t for t in range(2, 11, 2) if not _sum_of_two_squares(2 * t)]
+    assert failing == [6]
+    for t in failing:
+        result = run_search(SearchTask("2t4u", t))
+        assert result.accepted == [] and result.counters["accepted"] == 0, t
+    # the non-empty cells obey the rule, and their rows have |s|^2 = 2t
+    assert all(_sum_of_two_squares(2 * t) for t in (2, 4, 8))
+    rows = [ROW_A, ROW_B]
+    for t in (2, 4):
+        rows += [code_to_cchm(rebuild_code(acc)) for acc in accepted_pool[("2t4u", t)].accepted]
+    for row in rows:
+        c = row.exponents
+        re, im = c.count(0) - c.count(2), c.count(1) - c.count(3)
+        assert re * re + im * im == len(c), row

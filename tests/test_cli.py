@@ -186,3 +186,41 @@ def test_unopenable_output_exits_64_before_any_search(monkeypatch, tmp_path):
         assert code == 64, argv
         assert out == "" and "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_parser_is_built_once_and_carries_nothing_between_calls(monkeypatch):
+    import hfpc.cli as cli_mod
+
+    built = []
+
+    class CountingParser(cli_mod._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if self.prog == "hfpc":  # the subcommand parsers are "hfpc <name>"
+                built.append(self)
+
+    monkeypatch.setattr(cli_mod, "_Parser", CountingParser)
+    cli_mod.build_parser.cache_clear()
+    try:
+        verify = ("verify", "--family", "2t4u", "--t", "8", "--a", GENERATOR_A)
+        code, first_out, _ = run_cli(*verify)
+        assert code == 0
+
+        code, out, _ = run_cli("search", "--family", "tqu", "--t", "3", "--all")
+        assert code == 0 and json.loads(out.splitlines()[-1])["mode"] == "all"
+        code, out, _ = run_cli("search", "--family", "tqu", "--t", "3")
+        assert code == 0 and json.loads(out.splitlines()[-1])["mode"] == "first"
+
+        bad = ("verify", "--family", "2t4u", "--t", "8", "--a", "2" + GENERATOR_A[1:])
+        assert run_cli(*bad)[0] == 64
+        assert run_cli(*verify)[:2] == (0, first_out)
+
+        code, out, _ = run_cli("table", "--tmax", "2", "--format", "csv")
+        assert code == 0 and out.startswith("t,family,status,")
+        code, out, _ = run_cli("table", "--tmax", "2")
+        assert code == 0 and out.splitlines()[0].split("|")[0].strip() == "t"
+
+        assert run_cli("nonsense")[0] == 64
+        assert len(built) == 1
+    finally:
+        cli_mod.build_parser.cache_clear()

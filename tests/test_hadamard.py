@@ -17,10 +17,13 @@ from hfpc.hadamard import (
 from helpers import (
     GENERATOR_A,
     GENERATOR_B,
+    ORDER16_ROW_A,
+    ORDER16_ROW_B,
     PROFILE_A,
     PROFILE_B,
     all_weight_w,
     full_pairwise_is_hadamard_code,
+    integer_is_hadamard_matrix,
     kernel_all_words,
     min_distance,
     rank_by_span,
@@ -46,6 +49,55 @@ def test_is_hadamard_matrix():
         is_hadamard_matrix([[1, 1]])
     with pytest.raises(ValueError):
         is_hadamard_matrix([[1, 0], [1, 1]])
+
+
+def _sylvester(n: int) -> list[list[int]]:
+    h = [[1]]
+    while len(h) < n:
+        h = [r + r for r in h] + [r + [-x for x in r] for r in h]
+    return h
+
+
+def _flip_one(m: list[list[int]], rng: random.Random) -> list[list[int]]:
+    out = [list(r) for r in m]
+    i, j = rng.randrange(len(m)), rng.randrange(len(m))
+    out[i][j] = -out[i][j]
+    return out
+
+
+def test_bitmask_hadamard_matrix_matches_integer_oracle():
+    from hfpc.cchm import QuaternaryRow, _real_double
+
+    rng = random.Random(1607)
+    cases = []
+    for n in range(1, 33):
+        for _ in range(3):
+            cases.append([[rng.choice((1, -1)) for _ in range(n)] for _ in range(n)])
+    hadamard = [_sylvester(n) for n in (1, 2, 4, 8, 16, 32)]
+    hadamard += [_real_double(QuaternaryRow.parse(r)) for r in (ORDER16_ROW_A, ORDER16_ROW_B)]
+    for h in hadamard:
+        cases += [h, _flip_one(h, rng)]
+    # every row has n/2 entries -1, so every pair has even distance, yet the
+    # rows are not all orthogonal: random balanced rows, and a Hadamard matrix
+    # whose rows after the first are balanced with one of them repeated
+    for n in range(2, 33, 2):
+        for _ in range(3):
+            rows = []
+            for _ in range(n):
+                row = [1] * (n // 2) + [-1] * (n // 2)
+                rng.shuffle(row)
+                rows.append(row)
+            cases.append(rows)
+    for n in (4, 8, 16, 32):
+        h = _sylvester(n)[1:]
+        cases.append(h + [h[rng.randrange(n - 1)]])
+    verdicts = set()
+    for m in cases:
+        verdict = is_hadamard_matrix(m)
+        assert verdict == integer_is_hadamard_matrix(m), m
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+    assert all(is_hadamard_matrix(h) for h in hadamard)
 
 
 def test_is_hadamard_code():
