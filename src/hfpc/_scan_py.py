@@ -37,9 +37,12 @@ those of the full check alone.
   row-0 weights wt(d^j + rot^j a), j < t, split the same way; a variant
   passes them exactly when its two a-weight signatures are complementary.
   The right parts of each power-signature class are indexed by a-weight
-  signature, so a full-range scan visits only the survivors with a passing
-  variant and counts the others by bisection.  A first-accept scan merges
-  every survivor in stream order instead, to stop at the first accept.
+  signature.  A full-range scan is one pass over the left parts: for each,
+  it counts the survivors in range by bisection, checks the variants of
+  those in its two matching a-weight buckets, and charges each other
+  survivor its four variants as rejected; only the accepted triples are
+  sorted into stream order at the end.  A first-accept scan merges every
+  survivor in stream order instead, to stop at the first accept.
   The variants that pass go on to the b derivation, the relations and the
   rest of row 0 (wt(d^j + rot^j b) and wt(d^j + rot^j ab)).
 
@@ -53,6 +56,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from heapq import heappop, heappush, heapreplace
 from math import comb
+from operator import itemgetter
 
 __all__ = ["scan_two_generator", "scan_quaternion"]
 
@@ -312,6 +316,7 @@ class _QuaternionTables:
         self.rmask = int("0011" * t, 2)
         self.s3 = int("1000" * t, 2)  # strand 3; strand r is s3 >> (3 - r)
         self.spread = [sum(((s >> k) & 1) << (4 * k) for k in range(t)) for s in range(1 << t)]
+        self.unspread = {x: s for s, x in enumerate(self.spread)}  # strand 0 -> t bits
         # S_1 = s is the only power of a t = 1 strand; its weight field is s
         self.sig = [_signature(s, t) if t > 1 else s for s in range(1 << t)]
         self.classes: dict[int, list[int]] = {}
@@ -323,7 +328,6 @@ class _QuaternionTables:
         self.rights: dict[int, tuple[int, ...]] = {}  # left pair signature -> right parts
         # left pair signature -> {a-weight signature: those right parts, ascending}
         self.rights_by_a: dict[int, dict[int, tuple[int, ...]]] = {}
-        self.a_sigs: dict[int, int] = {}  # part, in place -> a-weight signature
 
         # A left part is a 2t-bit number m whose digit k (bits 2k + 1, 2k) is
         # (strand 3 bit k, strand 2 bit k); ascending m is ascending part.  m
@@ -380,30 +384,28 @@ class _QuaternionTables:
         (sx, sy) are the two strands of one part of d, high strand first, and
         (ax, ay) the same strands of a with free bit 0: ax is the suffix xor
         of sx + sy and ay its complement.  The free bit 1 complements both,
-        which turns every field w into 2t - w.  Memoised by the part in place.
+        which turns every field w into 2t - w.
         """
-        sig = self.a_sigs.get(part)
-        if sig is None:
-            t = self.t
-            mask = self.mask
-            low = (part | part >> 2) & self.rmask  # a left part moved right
-            sx = _gather(low >> 1, t, 4)
-            sy = _gather(low, t, 4)
-            ax = sx ^ sy
-            k = 1
-            while k < t:
-                ax ^= ax >> k
-                k <<= 1
-            ay = ax ^ mask
-            sig = 0
-            cx, cy = sx, sy
-            for j in range(t - 1):
-                ax = (ax >> 1) | ((ax & 1) << (t - 1))
-                ay = (ay >> 1) | ((ay & 1) << (t - 1))
-                sig |= ((cx ^ ax).bit_count() + (cy ^ ay).bit_count()) << (_FIELD * j)
-                cx = sx ^ ((cx >> 1) | ((cx & 1) << (t - 1)))
-                cy = sy ^ ((cy >> 1) | ((cy & 1) << (t - 1)))
-            self.a_sigs[part] = sig
+        t = self.t
+        mask = self.mask
+        low = (part | part >> 2) & self.rmask  # a left part moved right
+        s0 = self.s3 >> 3
+        sx = self.unspread[(low >> 1) & s0]
+        sy = self.unspread[low & s0]
+        ax = sx ^ sy
+        k = 1
+        while k < t:
+            ax ^= ax >> k
+            k <<= 1
+        ay = ax ^ mask
+        sig = 0
+        cx, cy = sx, sy
+        for j in range(t - 1):
+            ax = (ax >> 1) | ((ax & 1) << (t - 1))
+            ay = (ay >> 1) | ((ay & 1) << (t - 1))
+            sig |= ((cx ^ ax).bit_count() + (cy ^ ay).bit_count()) << (_FIELD * j)
+            cx = sx ^ ((cx >> 1) | ((cx & 1) << (t - 1)))
+            cy = sy ^ ((cy >> 1) | ((cy & 1) << (t - 1)))
         return sig
 
     def lefts(self, lo: int, hi: int):
@@ -580,48 +582,15 @@ def _quaternion_variants(
     return accepted, rej_nob, rej_rel, rej_had
 
 
-def _a_weight_matches(
-    tab: _QuaternionTables, lo: int, hi: int
-) -> tuple[list[tuple[int, tuple[bool, bool]]], int]:
-    """Power survivors in [lo, hi) that have a variant passing the a-weight test.
-
-    Returns them ascending, each with its a-weight verdicts, and the number
-    of other survivors.  Per left part (a-weight signature al) only the right
-    parts with signature full_a - al (f1 = f3) or al (f1 != f3) are visited;
-    the rest are counted by bisection.
-    """
-    full_a = tab.full_a
-    hits: list[tuple[int, tuple[bool, bool]]] = []
-    skipped = 0
-    for lv, sig in tab.lefts(lo, hi):
-        rights = tab.rights_for(sig)
-        rlo, rhi = lo - lv, hi - lv
-        count = bisect_left(rights, rhi) - bisect_left(rights, rlo)
-        if not count:
-            continue
-        al = tab.a_signature(lv)
-        match = full_a - al
-        by_a = tab.rights_by_a_for(sig)
-        visits = [(match, (True, al == match))]
-        if al != match:
-            visits.append((al, (False, True)))
-        for ar, allowed in visits:
-            bucket = by_a.get(ar, ())
-            start, end = bisect_left(bucket, rlo), bisect_left(bucket, rhi)
-            hits.extend((lv + rv, allowed) for rv in bucket[start:end])
-            count -= end - start
-        skipped += count
-    hits.sort()
-    return hits, skipped
-
-
 def _stream_order(tab: _QuaternionTables, lo: int, hi: int):
     """Every power survivor in [lo, hi), ascending, with its a-weight verdicts.
 
     A k-way merge of the left parts' streams d = left + right: a left part
-    joins the heap once no word below it is left there.
+    joins the heap once no word below it is left there.  A right part recurs
+    under many left parts, so its a-weight signature is kept for the call.
     """
     full_a = tab.full_a
+    a_sigs: dict[int, int] = {}  # right part -> a-weight signature
     heap: list[tuple[int, int, int, tuple[int, ...], int]] = []
     lefts = tab.lefts(lo, hi)
     nxt = next(lefts, None)
@@ -636,7 +605,10 @@ def _stream_order(tab: _QuaternionTables, lo: int, hi: int):
         if not heap:
             return
         d, pos, lv, rights, al = heap[0]
-        ar = tab.a_signature(d - lv)
+        rv = d - lv
+        ar = a_sigs.get(rv)
+        if ar is None:
+            ar = a_sigs[rv] = tab.a_signature(rv)
         yield d, (al + ar == full_a, al == ar)
         pos += 1
         if pos < len(rights) and lv + rights[pos] < hi:
@@ -653,30 +625,52 @@ def scan_quaternion(
     if lo >= hi:
         return [], (0, 0, 0, 0, 0)
     tab = _quaternion_tables(t)
-    # first mode walks every survivor in stream order up to the first accept;
-    # all mode visits only a-weight matches and charges the rest 4 variants
-    # each to rejected_hadamard, as the a-weight test would
-    if first_only:
-        stream, skipped = _stream_order(tab, lo, hi), 0
-    else:
-        stream, skipped = _a_weight_matches(tab, lo, hi)
     accepted: list[tuple[int, int, int]] = []
-    survivors = skipped
-    rej_nob = rej_rel = 0
-    rej_had = 4 * skipped
-    for d, allowed in stream:
-        survivors += 1
-        if allowed[0] or allowed[1]:
-            acc, nob, rel, had = _quaternion_variants(d, t, allowed, first_only)
-            rej_nob += nob
-            rej_rel += rel
-            rej_had += had
-            if acc:
-                accepted.extend(acc)
-                if first_only:
+    survivors = rej_nob = rej_rel = rej_had = 0
+    if first_only:
+        # every survivor in stream order, up to the first accept
+        for d, allowed in _stream_order(tab, lo, hi):
+            survivors += 1
+            if allowed[0] or allowed[1]:
+                accepted, nob, rel, had = _quaternion_variants(d, t, allowed, True)
+                rej_nob += nob
+                rej_rel += rel
+                rej_had += had
+                if accepted:
                     hi = d + 1  # counting stops at the first accepted candidate
                     break
-        else:
-            rej_had += 4
+            else:
+                rej_had += 4
+    else:
+        # per left part (a-weight signature al) only the right parts with
+        # signature full_a - al (f1 = f3) or al (f1 != f3) are visited; the
+        # other survivors fail the a-weight test in all 4 variants
+        full_a = tab.full_a
+        for lv, sig in tab.lefts(lo, hi):
+            rights = tab.rights_for(sig)
+            rlo, rhi = lo - lv, hi - lv
+            count = bisect_left(rights, rhi) - bisect_left(rights, rlo)
+            if not count:
+                continue
+            survivors += count
+            al = tab.a_signature(lv)
+            match = full_a - al
+            by_a = tab.rights_by_a_for(sig)
+            visits = [(match, (True, al == match))]
+            if al != match:
+                visits.append((al, (False, True)))
+            for ar, allowed in visits:
+                bucket = by_a.get(ar, ())
+                start, end = bisect_left(bucket, rlo), bisect_left(bucket, rhi)
+                count -= end - start
+                for rv in bucket[start:end]:
+                    acc, nob, rel, had = _quaternion_variants(lv + rv, t, allowed, False)
+                    accepted += acc
+                    rej_nob += nob
+                    rej_rel += rel
+                    rej_had += had
+            rej_had += 4 * count
+        # stable: the triples of one d keep their (f1, f3) order
+        accepted.sort(key=itemgetter(0))
     examined = _quaternion_rank(hi, t) - _quaternion_rank(lo, t)
     return accepted, (examined, examined - survivors, rej_nob, rej_rel, rej_had)

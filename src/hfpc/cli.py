@@ -130,20 +130,25 @@ def cmd_verify(args, parser: _Parser) -> int:
     n = 4 * args.t
     try:
         if args.family == "tqu":
-            if args.a and args.b and args.d:
+            if not args.d:
+                parser.error("family tqu needs --d (optionally with --a and --b)")
+            if (args.a is None) != (args.b is None):
+                parser.error("family tqu takes --a and --b together")
+            d = _parse_vector(args.d, n, parser)
+            if args.a is None:
+                code = assemble("tqu", args.t, d)
+            else:
                 code = assemble_quaternion_explicit(
                     args.t,
-                    _parse_vector(args.d, n, parser),
+                    d,
                     _parse_vector(args.a, n, parser),
                     _parse_vector(args.b, n, parser),
                 )
-            elif args.d:
-                code = assemble("tqu", args.t, _parse_vector(args.d, n, parser))
-            else:
-                parser.error("family tqu needs --d (optionally with --a and --b)")
         else:
             if not args.a:
                 parser.error("family %s needs --a" % args.family)
+            if args.b is not None or args.d is not None:
+                parser.error("family %s takes only --a" % args.family)
             code = assemble(args.family, args.t, _parse_vector(args.a, n, parser))
     except ValueError as exc:
         parser.error(str(exc))

@@ -15,6 +15,7 @@ scan kernels.
 from __future__ import annotations
 
 import math
+import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -50,7 +51,7 @@ _FAMILY_CODE = {"4tu2": 0, "2t22u": 1, "2t4u": 2}
 # just below the 300,546,630 candidates of the two-generator cells at t = 8, so
 # every cell of word length 32 and up needs --deep.  With the joins such cells
 # scan in seconds (2t4u t = 8 in under half a second), not hours; what grows
-# fast with t is the tqu scan, about 36 s at t = 11.
+# fast with t is the tqu scan: 24-29 s at t = 11, about 5 minutes at t = 13.
 DEEP_GATE = 1 << 28
 
 
@@ -132,7 +133,12 @@ def _scan_chunk(args: tuple) -> tuple:
 
 
 def _run_chunks(chunk_args: list[tuple], workers: int) -> list[tuple]:
-    """Scan every chunk at once, one per pool worker; results in range order."""
+    """Scan every chunk; results in range order.
+
+    The pool gets one process per chunk, but no more than the CPU count: a
+    forked pool starts all of its processes at the first submit.
+    """
+    workers = min(workers, len(chunk_args), os.cpu_count() or 1)
     if workers <= 1:
         return [_scan_chunk(args) for args in chunk_args]
     # imported here so that one-worker runs never load multiprocessing

@@ -832,6 +832,11 @@ def full_check_quaternion_variants(
     return accepted, rej_nob, rej_rel, rej_had
 
 
+# t -> {part in place: a-weight signature}, for heap_scan_quaternion, which
+# asks for the same right part under many left parts and in many calls
+_A_SIGS: dict[int, dict[int, int]] = {}
+
+
 def heap_scan_quaternion(
     t: int, lo: int, hi: int, first_only: bool = False
 ) -> tuple[list[tuple[int, int, int]], tuple[int, int, int, int, int]]:
@@ -847,6 +852,7 @@ def heap_scan_quaternion(
         return [], (0, 0, 0, 0, 0)
     tab = _scan_py._quaternion_tables(t)
     full_a = tab.full_a
+    a_sigs = _A_SIGS.setdefault(t, {})
     accepted: list[tuple[int, int, int]] = []
     survivors = rej_nob = rej_rel = rej_had = 0
     # k-way merge of the left parts' streams d = left + right, ascending:
@@ -860,7 +866,9 @@ def heap_scan_quaternion(
             rights = tab.rights_for(sig)
             pos = bisect_left(rights, lo - lv)
             if pos < len(rights) and lv + rights[pos] < hi:
-                al = tab.a_signature(lv)
+                al = a_sigs.get(lv)
+                if al is None:
+                    al = a_sigs[lv] = tab.a_signature(lv)
                 heappush(heap, (lv + rights[pos], pos, lv, rights, al))
             nxt = next(lefts, None)
         if not heap:
@@ -868,7 +876,9 @@ def heap_scan_quaternion(
         d, pos, lv, rights, al = heap[0]
         survivors += 1
         rv = d - lv
-        ar = tab.a_signature(rv)
+        ar = a_sigs.get(rv)
+        if ar is None:
+            ar = a_sigs[rv] = tab.a_signature(rv)
         allowed = (al + ar == full_a, al == ar)
         if allowed[0] or allowed[1]:
             acc, nob, rel, had = full_check_quaternion_variants(d, t, allowed, first_only)

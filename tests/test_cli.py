@@ -168,6 +168,21 @@ def test_conjecture_flagging(monkeypatch):
     assert records[-1]["conjecture_counterexample_candidates"] == 1
 
 
+def test_verify_refuses_generator_flags_it_would_ignore():
+    for argv in (
+        # tqu with only one of --a and --b
+        ("--family", "tqu", "--t", "3", "--d", "000001110111", "--a", "111111111111"),
+        ("--family", "tqu", "--t", "3", "--d", "000001110111", "--b", "111111111111"),
+        # a two-generator family with --b or --d
+        ("--family", "2t4u", "--t", "2", "--a", "00110011", "--b", "11111111"),
+        ("--family", "4tu2", "--t", "2", "--a", "00011110", "--d", "00011110"),
+        ("--family", "2t22u", "--t", "1", "--a", "0110", "--b", "0110", "--d", "0110"),
+    ):
+        code, out, err = run_cli("verify", *argv)
+        assert code == 64, argv
+        assert out == "" and "error: family" in err, argv
+
+
 def test_unopenable_output_exits_64_before_any_search(monkeypatch, tmp_path):
     import hfpc.cli as cli_mod
     import hfpc.search as search_mod

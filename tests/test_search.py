@@ -229,6 +229,46 @@ def test_pool_gets_one_chunk_per_worker(monkeypatch):
         assert all(lo < hi for lo, hi in chunks)
 
 
+def test_pool_is_capped_at_chunks_and_cpus(monkeypatch):
+    import concurrent.futures
+    import os
+
+    pools = []  # (max_workers, chunks) of each pool
+
+    class SerialPool:  # starts no process
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            args = list(args)
+            pools.append((self.max_workers, len(args)))
+            return map(fn, args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    serial = run_search(SearchTask("tqu", 3, mode="all"), workers=1)
+    for t, workers, cpus, pool in (
+        (1, 64, 64, [(16, 16)]),  # tqu t = 1 splits into at most 16 chunks
+        (3, 8, 2, [(2, 8)]),  # 8 chunks on 2 processes
+        (3, 3, 4, [(3, 3)]),
+        (3, 5, None, []),  # an unknown CPU count scans serially
+    ):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        pools.clear()
+        res = run_search(SearchTask("tqu", t, mode="all"), workers=workers)
+        assert pools == pool, (t, workers, cpus)
+        if t == 3:
+            assert res.counters == serial.counters
+            assert [a.candidate for a in res.accepted] == [
+                a.candidate for a in serial.accepted
+            ]
+
+
 def test_dedup():
     res = run_search(SearchTask("2t4u", 4, mode="all"))
     distinct = dedup(res.accepted)
