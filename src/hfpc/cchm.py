@@ -159,10 +159,10 @@ def code_to_cchm(c: PropelinearCode) -> QuaternaryRow:
     if c.family != "2t4u":
         raise ValueError("conversion requires a 2t4u code")
     t = c.t
+    top = 1 << (c.length - 1)  # coordinate 1
     hits: dict[int, set[int]] = {j: set() for j in range(2 * t)}
-    for e in c.elements:
-        if e.vector.bit(1) == 0:
-            j, k, l = e.label
+    for v, (j, k, l) in zip(c.values, c.labels):
+        if not v & top:
             hits[j].add((k + 2 * l) % 4)
     exps = []
     for j in range(2 * t):

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from functools import cache
 
 from .gf2 import BitVector
-from .hadamard import is_hadamard_code
-from .perms import Permutation, apply, compose, from_cycles, has_fixed_point, identity
-from .propelinear import PropelinearCode, PropelinearElement
+from .hadamard import code_is_hadamard
+from .perms import Permutation, act, apply, compose, from_cycles, has_fixed_point, identity
+from .propelinear import Label, PropelinearCode, PropelinearElement
 
 __all__ = [
     "FAMILY_TAGS",
@@ -34,6 +34,7 @@ __all__ = [
     "family_spec",
     "family_perms",
     "element_perms",
+    "element_labels",
     "derive_b_from_a",
     "derive_a_from_d",
     "derive_b_from_a_quaternion",
@@ -152,6 +153,17 @@ def element_perms(tag: str, t: int) -> tuple[Permutation, ...]:
     return tuple(out)
 
 
+@cache
+def element_labels(tag: str, t: int) -> tuple[Label, ...]:
+    """Exponent label of every element of a (tag, t) code, in element_perms order."""
+    family_spec(tag, t)  # validates tag / parity
+    if tag == "tqu":
+        return tuple((j, k, l) for j in range(t) for k in range(4) for l in (0, 1))
+    if tag == "cyclic4tu":
+        return tuple((j, 0, l) for j in range(4 * t) for l in (0, 1))
+    return tuple((j, k, l) for j in range(2 * t) for k in (0, 1) for l in (0, 1))
+
+
 def _power_chain(p: Permutation, count: int) -> list[Permutation]:
     """p^0 .. p^(count-1) by repeated composition."""
     chain = [identity(p.degree)]
@@ -254,46 +266,50 @@ def derive_b_from_a_quaternion(
 
 
 def _cyclic_powers(
-    gen: BitVector, perm: Permutation, order: int, weight: int
-) -> tuple[list[BitVector], BitVector] | Reject:
-    """Vectors gen^0 .. gen^{order-1} plus the endpoint gen^order.
+    gen: int, perm: Permutation, order: int, weight: int
+) -> tuple[list[int], int] | Reject:
+    """Words gen^0 .. gen^{order-1} plus the endpoint gen^order.
 
     Powers are produced one at a time and the run aborts on the first power
     of wrong weight, which is where almost all candidates die.
     """
-    n = gen.n
-    powers = [BitVector.zero(n)]
+    powers = [0]
     cur = gen
     for j in range(1, order):
-        if cur.weight() != weight:
+        if cur.bit_count() != weight:
             return Reject("power", "weight(g^%d) != %d" % (j, weight))
         powers.append(cur)
-        cur = gen ^ apply(perm, cur)
+        cur = gen ^ act(perm, cur)
     return powers, cur
 
 
 def _finish_code(
     tag: str,
     t: int,
-    elements: list[PropelinearElement],
+    values: tuple[int, ...],
     generators: dict[str, PropelinearElement],
 ) -> PropelinearCode | Reject:
     n = 4 * t
     full = (1 << n) - 1
-    values = [e.vector.value for e in elements]
     if len(set(values)) != len(values):
         return Reject("distinct", "duplicate vectors in the element table")
-    # elements carry the element_perms permutations, in that order
-    for e, (is_identity, fixed) in zip(elements, _fixed_point_verdicts(tag, t)):
-        if e.vector.value in (0, full):
+    # values are in element_perms order
+    for v, (is_identity, fixed) in zip(values, _fixed_point_verdicts(tag, t)):
+        if v in (0, full):
             if not is_identity:
                 return Reject("full_propelinear", "e or u with nontrivial permutation")
         elif fixed:
-            return Reject("full_propelinear", "fixed point at %s" % e.vector)
-    code = PropelinearCode(tag, t, tuple(elements), generators)
-    if not is_hadamard_code(code.vectors(), t):
+            return Reject("full_propelinear", "fixed point at %s" % BitVector(n, v))
+    code = PropelinearCode.from_words(
+        tag, t, values, element_perms(tag, t), element_labels(tag, t), generators
+    )
+    if not code_is_hadamard(code):
         return Reject("hadamard", "distance profile is not 2t/4t")
     return code
+
+
+def _element(value: int, perm: Permutation, label: Label) -> PropelinearElement:
+    return PropelinearElement(BitVector(perm.degree, value), perm, label)
 
 
 def _assemble_two_generator(tag: str, t: int, a: BitVector) -> PropelinearCode | Reject:
@@ -305,42 +321,34 @@ def _assemble_two_generator(tag: str, t: int, a: BitVector) -> PropelinearCode |
         return Reject("weight", "weight(a) != 2t")
     perms = family_perms(tag, t)
     pa, pb = perms["a"], perms["b"]
-    got = _cyclic_powers(a, pa, 2 * t, 2 * t)
+    got = _cyclic_powers(a.value, pa, 2 * t, 2 * t)
     if isinstance(got, Reject):
         return got
     powers, endpoint = got
-    u = BitVector.ones(n)
-    target = u if spec.cyclic_power_is_u else BitVector.zero(n)
-    if endpoint != target:
+    full = (1 << n) - 1
+    if endpoint != (full if spec.cyclic_power_is_u else 0):
         return Reject("order", "a^2t != %s" % ("u" if spec.cyclic_power_is_u else "e"))
-    b = derive_b_from_a(a, tag, t)
-    if a ^ apply(pa, b) != b ^ apply(pb, a):
+    av, bv = a.value, derive_b_from_a(a, tag, t).value
+    if av ^ act(pa, bv) != bv ^ act(pb, av):
         return Reject("relation", "ab != ba")
-    bsq = b ^ apply(pb, b)
-    if bsq != (u if spec.b_square_is_u else BitVector.zero(n)):
+    if bv ^ act(pb, bv) != (full if spec.b_square_is_u else 0):
         return Reject("relation", "b^2 has the wrong value")
 
-    table = element_perms(tag, t)
-    elements = []
-    rb = b
-    for j in range(2 * t):
-        wj = powers[j]
-        for k, l in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            vec = wj if k == 0 else wj ^ rb
-            if l:
-                vec = vec ^ u
-            elements.append(
-                PropelinearElement(vec, table[len(elements)], (j, k, l))
-            )
-        rb = apply(pa, rb)
-    e0 = BitVector.zero(n)
+    # a^j b^k u^l, (k, l) in the order (0, 0), (0, 1), (1, 0), (1, 1); the
+    # word of a^j b is a^j + pi_a^j(b)
+    values: list[int] = []
+    rb = bv
+    for wj in powers:
+        values += (wj, wj ^ full, wj ^ rb, wj ^ rb ^ full)
+        rb = act(pa, rb)
+    ident = identity(n)
     gens = {
-        "a": PropelinearElement(a, pa, (1, 0, 0)),
-        "b": PropelinearElement(b, pb, (0, 1, 0)),
-        "u": PropelinearElement(u, identity(n), (0, 0, 1)),
-        "e": PropelinearElement(e0, identity(n), (0, 0, 0)),
+        "a": _element(av, pa, (1, 0, 0)),
+        "b": _element(bv, pb, (0, 1, 0)),
+        "u": _element(full, ident, (0, 0, 1)),
+        "e": _element(0, ident, (0, 0, 0)),
     }
-    return _finish_code(tag, t, elements, gens)
+    return _finish_code(tag, t, tuple(values), gens)
 
 
 def _assemble_cyclic(t: int, a: BitVector) -> PropelinearCode | Reject:
@@ -350,65 +358,64 @@ def _assemble_cyclic(t: int, a: BitVector) -> PropelinearCode | Reject:
     if a.weight() != 2 * t:
         return Reject("weight", "weight(a) != 2t")
     pa = family_perms("cyclic4tu", t)["a"]
-    got = _cyclic_powers(a, pa, 4 * t, 2 * t)
+    got = _cyclic_powers(a.value, pa, 4 * t, 2 * t)
     if isinstance(got, Reject):
         return got
     powers, endpoint = got
-    if endpoint.value != 0:
+    if endpoint != 0:
         return Reject("order", "a^4t != e")
-    u = BitVector.ones(n)
-    table = element_perms("cyclic4tu", t)
-    elements = []
-    for j in range(4 * t):
-        elements.append(PropelinearElement(powers[j], table[2 * j], (j, 0, 0)))
-        elements.append(PropelinearElement(powers[j] ^ u, table[2 * j + 1], (j, 0, 1)))
+    full = (1 << n) - 1
+    values: list[int] = []
+    for wj in powers:
+        values += (wj, wj ^ full)
     gens = {
-        "a": PropelinearElement(a, pa, (1, 0, 0)),
-        "u": PropelinearElement(u, identity(n), (0, 0, 1)),
+        "a": _element(a.value, pa, (1, 0, 0)),
+        "u": _element(full, identity(n), (0, 0, 1)),
     }
-    return _finish_code("cyclic4tu", t, elements, gens)
+    return _finish_code("cyclic4tu", t, tuple(values), gens)
 
 
 def _quaternion_code(
-    t: int, d: BitVector, a: BitVector, b: BitVector, powers: list[BitVector]
+    t: int, d: int, a: int, b: int, powers: list[int]
 ) -> PropelinearCode | Reject:
     n = 4 * t
+    full = (1 << n) - 1
     perms = family_perms("tqu", t)
     pd, pa, pb = perms["d"], perms["a"], perms["b"]
-    u = BitVector.ones(n)
-    if a ^ apply(pa, a) != u:
+    if a ^ act(pa, a) != full:
         return Reject("relation", "a^2 != u")
-    if b ^ apply(pb, b) != u:
+    if b ^ act(pb, b) != full:
         return Reject("relation", "b^2 != u")
-    if d ^ apply(pd, a) != a ^ apply(pa, d):
+    if d ^ act(pd, a) != a ^ act(pa, d):
         return Reject("relation", "da != ad")
-    if d ^ apply(pd, b) != b ^ apply(pb, d):
+    if d ^ act(pd, b) != b ^ act(pb, d):
         return Reject("relation", "db != bd")
-    ab = a ^ apply(pa, b)
-    pab = compose(pa, pb)
-    if ab ^ apply(pab, a) != b:
+    ab = a ^ act(pa, b)
+    if ab ^ act(_quaternion_ab_perm(t), a) != b:
         return Reject("relation", "aba != b")
 
-    table = element_perms("tqu", t)
-    q_vecs = (BitVector.zero(n), b, a, ab)  # e, b, a, ab; pi_d^j applied below
-    elements = []
-    for j in range(t):
-        for k in range(4):
-            for l in (0, 1):
-                vec = powers[j] ^ q_vecs[2 * (k % 2) + l]
-                if k >= 2:
-                    vec = vec ^ u
-                elements.append(
-                    PropelinearElement(vec, table[len(elements)], (j, k, l))
-                )
-        q_vecs = tuple(apply(pd, v) for v in q_vecs)
+    # d^j a^k b^l over k < 4, l < 2: the word of d^j q is d^j + pi_d^j(q) for
+    # q in e, b, a, ab, and a^2 = u adds u for k >= 2
+    values: list[int] = []
+    q = [0, b, a, ab]
+    for pj in powers:
+        row = [pj ^ v for v in q]
+        values += row
+        values += [v ^ full for v in row]
+        q = [act(pd, v) for v in q]
     gens = {
-        "d": PropelinearElement(d, pd, (1, 0, 0)),
-        "a": PropelinearElement(a, pa, (0, 1, 0)),
-        "b": PropelinearElement(b, pb, (0, 0, 1)),
-        "u": PropelinearElement(u, identity(n), (0, 2, 0)),
+        "d": _element(d, pd, (1, 0, 0)),
+        "a": _element(a, pa, (0, 1, 0)),
+        "b": _element(b, pb, (0, 0, 1)),
+        "u": _element(full, identity(n), (0, 2, 0)),
     }
-    return _finish_code("tqu", t, elements, gens)
+    return _finish_code("tqu", t, tuple(values), gens)
+
+
+@cache
+def _quaternion_ab_perm(t: int) -> Permutation:
+    perms = family_perms("tqu", t)
+    return compose(perms["a"], perms["b"])
 
 
 def assemble_quaternion_variants(
@@ -435,11 +442,11 @@ def assemble_quaternion_variants(
         rej = Reject("weight", "weight(d) != 2t")
         return [], rej
     pd = family_perms("tqu", t)["d"]
-    got = _cyclic_powers(d, pd, t, 2 * t)
+    got = _cyclic_powers(d.value, pd, t, 2 * t)
     if isinstance(got, Reject):
         return [], got
     powers, endpoint = got
-    if endpoint.value != 0:
+    if endpoint != 0:
         return [], Reject("order", "d^t != e")
 
     accepted: list[PropelinearCode] = []
@@ -452,7 +459,7 @@ def assemble_quaternion_variants(
                 if b is None:
                     note(Reject("no_b", "case table contradicts propagation"))
                     continue
-                result = _quaternion_code(t, d, a, b, powers)
+                result = _quaternion_code(t, d.value, a.value, b.value, powers)
                 if isinstance(result, Reject):
                     note(result)
                     continue
@@ -474,13 +481,13 @@ def assemble_quaternion_explicit(
     if d.weight() != 2 * t:
         return Reject("weight", "weight(d) != 2t")
     pd = family_perms("tqu", t)["d"]
-    got = _cyclic_powers(d, pd, t, 2 * t)
+    got = _cyclic_powers(d.value, pd, t, 2 * t)
     if isinstance(got, Reject):
         return got
     powers, endpoint = got
-    if endpoint.value != 0:
+    if endpoint != 0:
         return Reject("order", "d^t != e")
-    return _quaternion_code(t, d, a, b, powers)
+    return _quaternion_code(t, d.value, a.value, b.value, powers)
 
 
 def assemble(tag: str, t: int, candidate: BitVector) -> PropelinearCode | Reject:

@@ -13,6 +13,7 @@ __all__ = [
     "CodeProfile",
     "is_hadamard_matrix",
     "is_hadamard_code",
+    "code_is_hadamard",
     "kernel",
     "rank",
     "profile",
@@ -57,13 +58,25 @@ def _values(c: Iterable[BitVector]) -> tuple[int, list[int]]:
 
 def is_hadamard_code(c: Iterable[BitVector], t: int) -> bool:
     """Length 4t, 8t words, e and u present, complement-closed, and all
-    distances 2t except complement pairs at 4t.
+    distances 2t except complement pairs at 4t."""
+    n, vals = _values(c)
+    return _is_hadamard_words(n, vals, t)
+
+
+def code_is_hadamard(c: PropelinearCode) -> bool:
+    """is_hadamard_code on the words of c, computed once per code object."""
+    if c._hadamard is None:
+        c._hadamard = _is_hadamard_words(c.length, c.values, c.t)
+    return c._hadamard
+
+
+def _is_hadamard_words(n: int, vals: Sequence[int], t: int) -> bool:
+    """is_hadamard_code on int words of length n.
 
     Once the set is complement-closed, d(v + u, w) = 4t - d(v, w), so the
     distance condition holds exactly when the 4t representatives v < v + u
     are pairwise at distance 2t; only those pairs are compared.
     """
-    n, vals = _values(c)
     if n != 4 * t:
         return False
     full = (1 << n) - 1
@@ -72,16 +85,16 @@ def is_hadamard_code(c: Iterable[BitVector], t: int) -> bool:
         return False
     if 0 not in vset or full not in vset:
         return False
-    for v in vset:
-        if v ^ full not in vset:
-            return False
-        if v not in (0, full) and v.bit_count() != 2 * t:
-            return False
-    reps = sorted(v for v in vset if v < v ^ full)
+    if not vset.issuperset(map(full.__xor__, vset)):
+        return False
+    # only e has weight 0 and only u weight 4t: every other word has weight 2t
+    if not {0, 2 * t, n}.issuperset(map(int.bit_count, vset)):
+        return False
+    reps = [v for v in vset if v < v ^ full]
+    distance = {2 * t}
     for i, v in enumerate(reps):
-        for w in reps[i + 1 :]:
-            if (v ^ w).bit_count() != 2 * t:
-                return False
+        if not distance.issuperset(map(int.bit_count, map(v.__xor__, reps[i + 1 :]))):
+            return False
     return True
 
 
@@ -91,11 +104,14 @@ def kernel(c: Iterable[BitVector]) -> tuple[BitMatrix, int]:
     Assumes e is a codeword, which forces K(C) to be a subset of C, so only
     translations by codewords are tested (hash-set membership, early exit).
     """
-    n, vals = _values(c)
+    return _kernel(*_values(c))
+
+
+def _kernel(n: int, vals: Sequence[int]) -> tuple[BitMatrix, int]:
     vset = set(vals)
     if 0 not in vset:
         raise ValueError("kernel requires the all-zero codeword")
-    members = [z for z in sorted(vset) if all(x ^ z in vset for x in vset)]
+    members = [z for z in sorted(vset) if vset.issuperset(map(z.__xor__, vset))]
     basis = row_space_basis(
         BitMatrix(n, tuple(BitVector(n, z) for z in members))
     )
@@ -184,17 +200,17 @@ def profile(c: PropelinearCode) -> CodeProfile:
     A Hadamard code holds e and words of weight 2t, and every distance is 2t
     or 4t, so its minimum distance is 2t.
     """
-    vecs = c.vectors()
-    n = c.length
-    if not is_hadamard_code(vecs, c.t):
+    if not code_is_hadamard(c):
         raise ValueError("profile requires a Hadamard code")
+    n = c.length
+    vals = c.values
     full = (1 << n) - 1
     # every word is a representative v < v + u or one plus u: same span
-    r = rank([v for v in vecs if v.value < v.value ^ full] + [BitVector.ones(n)])
-    kb, k = kernel(vecs)
+    r = len(_echelon([v for v in vals if v < v ^ full] + [full]))
+    kb, k = _kernel(n, vals)
     if not any(row.value == full for row in _kernel_span(kb, n)):
         raise BoundViolation("all-one vector missing from the kernel")
-    problems = bound_violations(n, len(vecs), r, k)
+    problems = bound_violations(n, len(vals), r, k)
     if c.family in TWO_GENERATOR_FAMILIES and r > k and k > 3:
         problems.append("nonlinear two-generator family with k > 3")
     if problems:
@@ -207,7 +223,7 @@ def profile(c: PropelinearCode) -> CodeProfile:
         family=c.family,
         t=c.t,
         length=n,
-        size=len(vecs),
+        size=len(vals),
         rank=r,
         kernel_dim=k,
         kernel_basis=tuple(str(row) for row in kb.rows),

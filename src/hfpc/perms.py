@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .gf2 import BitVector
 
@@ -10,6 +11,7 @@ __all__ = [
     "Permutation",
     "identity",
     "from_cycles",
+    "act",
     "apply",
     "compose",
     "has_fixed_point",
@@ -21,11 +23,18 @@ class Permutation:
     """Bijection of {1..n} stored as an image array: images[i-1] = pi(i)."""
 
     images: tuple[int, ...]
+    # the byte tables of act, kept on the object after its first act: finding
+    # them by image array would hash the whole tuple on every call
+    _tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.images)
         if sorted(self.images) != list(range(1, n + 1)):
             raise ValueError("images are not a bijection of 1..%d" % n)
+
+    def __reduce__(self):
+        # pickles and copies carry the images only; act rebuilds the tables
+        return (Permutation, (self.images,))
 
     @property
     def degree(self) -> int:
@@ -71,20 +80,49 @@ def from_cycles(n: int, cycles: list[tuple[int, ...]]) -> Permutation:
     return Permutation(tuple(images))
 
 
+def act(p: Permutation, value: int) -> int:
+    """Coordinate action on an int word 0 <= value < 2^degree, without the
+    BitVector: apply(p, v).value.
+
+    One lookup per byte of the word, in tables built once per image array.
+    """
+    tables = p._tables
+    if tables is None:
+        tables = _byte_tables(p.images)
+        object.__setattr__(p, "_tables", tables)
+    out = 0
+    for table in tables:
+        out |= table[value & 0xFF]
+        value >>= 8
+    return out
+
+
+@lru_cache(maxsize=256)
+def _byte_tables(images: tuple[int, ...]) -> tuple:
+    """Per byte of the word, lowest byte first: byte value -> its image bits.
+
+    Bit pos of the word is coordinate n - pos; its image coordinate pi(n - pos)
+    is bit n - pi(n - pos).  Up to 64 bits a table entry is one unsigned
+    64-bit slot of a bytearray (2 KB per byte of the word), not an int object.
+    """
+    n = len(images)
+    tables = []
+    for lo in range(0, n, 8):
+        bits = [1 << (n - images[n - pos - 1]) for pos in range(lo, min(lo + 8, n))]
+        size = 1 << len(bits)
+        table = memoryview(bytearray(8 * size)).cast("Q") if n <= 64 else [0] * size
+        for byte in range(1, size):
+            low = byte & -byte
+            table[byte] = table[byte ^ low] | bits[low.bit_length() - 1]
+        tables.append(table)
+    return tuple(tables)
+
+
 def apply(p: Permutation, v: BitVector) -> BitVector:
     """Coordinate action: result_i = v_{pi^{-1}(i)}."""
-    n = v.n
-    if p.degree != n:
-        raise ValueError("degree %d != length %d" % (p.degree, n))
-    images = p.images
-    value = 0
-    vv = v.value
-    while vv:
-        # the lowest set bit is coordinate n - pos; it moves to its image
-        low = vv & -vv
-        value |= 1 << (n - images[n - low.bit_length()])
-        vv ^= low
-    return BitVector(n, value)
+    if p.degree != v.n:
+        raise ValueError("degree %d != length %d" % (p.degree, v.n))
+    return BitVector(v.n, act(p, v.value))
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .gf2 import BitVector
-from .perms import Permutation, apply, compose, has_fixed_point, identity
+from .perms import Permutation, act, apply, compose, has_fixed_point, identity
 
 __all__ = [
     "PropelinearElement",
@@ -102,77 +102,137 @@ def _cycle_parities(
     return tuple(out)
 
 
-@dataclass(frozen=True, eq=False)
 class PropelinearCode:
-    """A full group of 8t labeled elements plus its family metadata."""
+    """A full group of 8t labeled elements plus its family metadata.
 
-    family: str | None
-    t: int
-    elements: tuple[PropelinearElement, ...]
-    generators: dict[str, PropelinearElement]
+    The primary data are three tuples in element order: the int words
+    (``values``), the permutations (``perms``) and the exponent labels
+    (``labels``).  The family constructors pass their shared per-(tag, t)
+    permutations and labels through ``from_words``; the PropelinearElement
+    and BitVector objects of ``elements`` are built on first read.
+    """
 
-    @property
-    def length(self) -> int:
-        return 4 * self.t
+    def __init__(
+        self,
+        family: str | None,
+        t: int,
+        elements: tuple[PropelinearElement, ...],
+        generators: dict[str, PropelinearElement],
+    ) -> None:
+        elements = tuple(elements)
+        length = elements[0].vector.n if elements else 4 * t
+        if any(e.vector.n != length for e in elements):
+            raise ValueError("mixed lengths")
+        self._set(
+            family,
+            t,
+            length,
+            tuple(e.vector.value for e in elements),
+            tuple(e.perm for e in elements),
+            tuple(e.label for e in elements),
+            generators,
+        )
+        self.__dict__["elements"] = elements
+
+    @classmethod
+    def from_words(
+        cls,
+        family: str | None,
+        t: int,
+        values: tuple[int, ...],
+        perms: tuple[Permutation, ...],
+        labels: tuple[Label | None, ...],
+        generators: dict[str, PropelinearElement],
+    ) -> PropelinearCode:
+        code = cls.__new__(cls)
+        code._set(family, t, 4 * t, values, perms, labels, generators)
+        return code
+
+    def _set(self, family, t, length, values, perms, labels, generators) -> None:
+        self.family = family
+        self.t = t
+        self.length = length
+        self.values = values
+        self.perms = perms
+        self.labels = labels
+        self.generators = generators
+        # the Hadamard verdict of the words, memoised by hadamard.code_is_hadamard
+        self._hadamard: bool | None = None
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return len(self.values)
+
+    @cached_property
+    def elements(self) -> tuple[PropelinearElement, ...]:
+        n = self.length
+        return tuple(
+            PropelinearElement(BitVector(n, v), p, label)
+            for v, p, label in zip(self.values, self.perms, self.labels)
+        )
 
     @cached_property
     def vector_values(self) -> frozenset[int]:
-        return frozenset(e.vector.value for e in self.elements)
-
-    @cached_property
-    def _element_by_vector(self) -> dict[int, PropelinearElement]:
-        return {e.vector.value: e for e in self.elements}
+        return frozenset(self.values)
 
     def vectors(self) -> list[BitVector]:
-        return [e.vector for e in self.elements]
+        n = self.length
+        return [BitVector(n, v) for v in self.values]
 
 
 def is_propelinear(c: PropelinearCode) -> bool:
-    """Check x + pi_x(y) stays in the code and pi_x pi_y = pi_{x*y}, all pairs."""
-    by_vec = c._element_by_vector
-    perms = {}
-    for x in c.elements:
-        perms.setdefault(x.perm.images, x.perm)
-    # precompute the action of each distinct permutation on each codeword
-    acted = {
-        imgs: {y.vector.value: apply(p, y.vector).value for y in c.elements}
-        for imgs, p in perms.items()
-    }
-    comp_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {}
-    for x in c.elements:
-        act = acted[x.perm.images]
-        for y in c.elements:
-            zv = x.vector.value ^ act[y.vector.value]
-            z = by_vec.get(zv)
-            if z is None:
-                return False
-            key = (x.perm.images, y.perm.images)
-            zimgs = comp_cache.get(key)
-            if zimgs is None:
-                zimgs = compose(x.perm, y.perm).images
-                comp_cache[key] = zimgs
-            if zimgs != z.perm.images:
-                return False
+    """Check x + pi_x(y) stays in the code and pi_x pi_y = pi_{x*y}, all pairs.
+
+    The action of each distinct permutation on every word is tabulated once
+    per code; the compositions depend only on the permutations, which the
+    codes of one family and t share, so they are tabulated once per tuple of
+    permutations.  Each row x then runs over every y at C speed.
+    """
+    values = c.values
+    position = {v: i for i, v in enumerate(values)}
+    ids, distinct, products = _permutation_products(c.perms)
+    acted = [[act(p, v) for v in values] for p in distinct]
+    for xv, xid in zip(values, ids):
+        # z[y] is the position of x * y = x + pi_x(y)
+        z = list(map(position.get, map(xv.__xor__, acted[xid])))
+        if None in z:
+            return False
+        if tuple(map(ids.__getitem__, z)) != products[xid]:
+            return False
     return True
+
+
+@lru_cache(maxsize=64)
+def _permutation_products(
+    perms: tuple[Permutation, ...]
+) -> tuple[tuple[int, ...], tuple[Permutation, ...], tuple[tuple[int | None, ...], ...]]:
+    """Number the distinct permutations by first appearance; ids[y] is the
+    number of perms[y], and products[i][y] the number of distinct[i] o
+    perms[y] (None if that composition is not among perms)."""
+    number: dict[tuple[int, ...], int] = {}
+    ids = tuple(number.setdefault(p.images, len(number)) for p in perms)
+    distinct = tuple({p.images: p for p in perms}.values())
+    products = []
+    for p in distinct:
+        by_number = [number.get(compose(p, q).images) for q in distinct]
+        products.append(tuple(by_number[i] for i in ids))
+    return ids, distinct, tuple(products)
 
 
 def is_full_propelinear(c: PropelinearCode) -> bool:
     """pi is identity exactly on e and u, fixed-point-free everywhere else."""
-    n = c.elements[0].vector.n
+    n = c.length
     full = (1 << n) - 1
-    for x in c.elements:
-        if x.vector.value in (0, full):
-            if x.perm != identity(n):
+    ident = identity(n)
+    for v, p in zip(c.values, c.perms):
+        if v in (0, full):
+            if p != ident:
                 return False
-        elif has_fixed_point(x.perm):
+        elif has_fixed_point(p):
             return False
     return True
 
 
 def associated_group_order(c: PropelinearCode) -> int:
     """Number of distinct permutations carried by the code."""
-    return len({x.perm.images for x in c.elements})
+    return len({p.images for p in c.perms})

@@ -9,7 +9,9 @@ pool of N workers splits it into N contiguous subranges, one per worker, whose
 results are merged in range order, so results are identical for any worker
 count.  Accepted candidates are re-assembled through the reference
 constructors in hfpc.families before being reported, which cross-checks the
-scan kernels.
+scan kernels; re-assembly and profiling work on int words, and the Hadamard
+verdict of each re-assembled code is computed once, by the constructor, and
+reused by the profile.
 """
 
 from __future__ import annotations

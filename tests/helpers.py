@@ -7,8 +7,10 @@ under the star product, search by running the reference constructor on the
 whole 2^4t space, the candidate stream and the two-generator and
 quaternion scans by visiting every candidate with Gosper's hack, the scans'
 Hadamard filters by checking every pair of table words, the Hadamard matrix
-check by integer sums of products, and the tqu power-survivor count by a
-convolution over strand weight signatures, with no join.
+check by integer sums of products, the tqu power-survivor count by a
+convolution over strand weight signatures, with no join, the byte-table
+action perms.act by a loop over set bits, and the int-word family
+constructors by the BitVector builder they replaced.
 """
 
 from __future__ import annotations
@@ -20,10 +22,20 @@ from itertools import combinations
 from typing import Callable, Iterator, Sequence
 
 from hfpc import _scan_py
-from hfpc.families import Reject, assemble, assemble_quaternion_variants
+from hfpc.families import (
+    Reject,
+    assemble,
+    assemble_quaternion_variants,
+    derive_a_from_d,
+    derive_b_from_a,
+    derive_b_from_a_quaternion,
+    element_perms,
+    family_perms,
+    family_spec,
+)
 from hfpc.gf2 import BitVector
 from hfpc.hadamard import _values
-from hfpc.perms import Permutation, identity
+from hfpc.perms import Permutation, compose, has_fixed_point, identity
 from hfpc.propelinear import Label, PropelinearCode, PropelinearElement, star_elem
 
 # Known order-16 circulant complex Hadamard rows and the generators of the
@@ -194,6 +206,274 @@ def apply_by_coordinates(p: Permutation, v: BitVector) -> BitVector:
     for i in range(1, v.n + 1):
         bits[p(i) - 1] = v.bit(i)
     return BitVector.from_bits(bits)
+
+
+def apply_by_lowest_bit(p: Permutation, v: BitVector) -> BitVector:
+    """perms.apply as a loop over the set bits of v, one coordinate each."""
+    n = v.n
+    if p.degree != n:
+        raise ValueError("degree %d != length %d" % (p.degree, n))
+    images = p.images
+    value = 0
+    vv = v.value
+    while vv:
+        # the lowest set bit is coordinate n - pos; it moves to its image
+        low = vv & -vv
+        value |= 1 << (n - images[n - low.bit_length()])
+        vv ^= low
+    return BitVector(n, value)
+
+
+# ---------------------------------------------------------------------------
+# The family constructors on BitVector words and PropelinearElement objects:
+# the reference that the int-word constructors of hfpc.families replaced.
+# ---------------------------------------------------------------------------
+
+
+def _bitvector_cyclic_powers(
+    gen: BitVector, perm: Permutation, order: int, weight: int
+) -> tuple[list[BitVector], BitVector] | Reject:
+    """Vectors gen^0 .. gen^{order-1} plus the endpoint gen^order.
+
+    Powers are produced one at a time and the run aborts on the first power
+    of wrong weight, which is where almost all candidates die.
+    """
+    n = gen.n
+    powers = [BitVector.zero(n)]
+    cur = gen
+    for j in range(1, order):
+        if cur.weight() != weight:
+            return Reject("power", "weight(g^%d) != %d" % (j, weight))
+        powers.append(cur)
+        cur = gen ^ apply_by_lowest_bit(perm, cur)
+    return powers, cur
+
+
+def _bitvector_finish_code(
+    tag: str,
+    t: int,
+    elements: list[PropelinearElement],
+    generators: dict[str, PropelinearElement],
+) -> PropelinearCode | Reject:
+    n = 4 * t
+    full = (1 << n) - 1
+    values = [e.vector.value for e in elements]
+    if len(set(values)) != len(values):
+        return Reject("distinct", "duplicate vectors in the element table")
+    # elements carry the element_perms permutations, in that order
+    for e in elements:
+        if e.vector.value in (0, full):
+            if e.perm != identity(n):
+                return Reject("full_propelinear", "e or u with nontrivial permutation")
+        elif has_fixed_point(e.perm):
+            return Reject("full_propelinear", "fixed point at %s" % e.vector)
+    code = PropelinearCode(tag, t, tuple(elements), generators)
+    if not full_pairwise_is_hadamard_code(code.vectors(), t):
+        return Reject("hadamard", "distance profile is not 2t/4t")
+    return code
+
+
+def _bitvector_two_generator(tag: str, t: int, a: BitVector) -> PropelinearCode | Reject:
+    spec = family_spec(tag, t)
+    n = spec.length
+    if a.n != n:
+        raise ValueError("candidate length %d != %d" % (a.n, n))
+    if a.weight() != 2 * t:
+        return Reject("weight", "weight(a) != 2t")
+    perms = family_perms(tag, t)
+    pa, pb = perms["a"], perms["b"]
+    got = _bitvector_cyclic_powers(a, pa, 2 * t, 2 * t)
+    if isinstance(got, Reject):
+        return got
+    powers, endpoint = got
+    u = BitVector.ones(n)
+    target = u if spec.cyclic_power_is_u else BitVector.zero(n)
+    if endpoint != target:
+        return Reject("order", "a^2t != %s" % ("u" if spec.cyclic_power_is_u else "e"))
+    b = derive_b_from_a(a, tag, t)
+    if a ^ apply_by_lowest_bit(pa, b) != b ^ apply_by_lowest_bit(pb, a):
+        return Reject("relation", "ab != ba")
+    bsq = b ^ apply_by_lowest_bit(pb, b)
+    if bsq != (u if spec.b_square_is_u else BitVector.zero(n)):
+        return Reject("relation", "b^2 has the wrong value")
+
+    table = element_perms(tag, t)
+    elements = []
+    rb = b
+    for j in range(2 * t):
+        wj = powers[j]
+        for k, l in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            vec = wj if k == 0 else wj ^ rb
+            if l:
+                vec = vec ^ u
+            elements.append(
+                PropelinearElement(vec, table[len(elements)], (j, k, l))
+            )
+        rb = apply_by_lowest_bit(pa, rb)
+    e0 = BitVector.zero(n)
+    gens = {
+        "a": PropelinearElement(a, pa, (1, 0, 0)),
+        "b": PropelinearElement(b, pb, (0, 1, 0)),
+        "u": PropelinearElement(u, identity(n), (0, 0, 1)),
+        "e": PropelinearElement(e0, identity(n), (0, 0, 0)),
+    }
+    return _bitvector_finish_code(tag, t, elements, gens)
+
+
+def _bitvector_cyclic(t: int, a: BitVector) -> PropelinearCode | Reject:
+    n = 4 * t
+    if a.n != n:
+        raise ValueError("candidate length %d != %d" % (a.n, n))
+    if a.weight() != 2 * t:
+        return Reject("weight", "weight(a) != 2t")
+    pa = family_perms("cyclic4tu", t)["a"]
+    got = _bitvector_cyclic_powers(a, pa, 4 * t, 2 * t)
+    if isinstance(got, Reject):
+        return got
+    powers, endpoint = got
+    if endpoint.value != 0:
+        return Reject("order", "a^4t != e")
+    u = BitVector.ones(n)
+    table = element_perms("cyclic4tu", t)
+    elements = []
+    for j in range(4 * t):
+        elements.append(PropelinearElement(powers[j], table[2 * j], (j, 0, 0)))
+        elements.append(PropelinearElement(powers[j] ^ u, table[2 * j + 1], (j, 0, 1)))
+    gens = {
+        "a": PropelinearElement(a, pa, (1, 0, 0)),
+        "u": PropelinearElement(u, identity(n), (0, 0, 1)),
+    }
+    return _bitvector_finish_code("cyclic4tu", t, elements, gens)
+
+
+def _bitvector_quaternion_code(
+    t: int, d: BitVector, a: BitVector, b: BitVector, powers: list[BitVector]
+) -> PropelinearCode | Reject:
+    n = 4 * t
+    perms = family_perms("tqu", t)
+    pd, pa, pb = perms["d"], perms["a"], perms["b"]
+    u = BitVector.ones(n)
+    if a ^ apply_by_lowest_bit(pa, a) != u:
+        return Reject("relation", "a^2 != u")
+    if b ^ apply_by_lowest_bit(pb, b) != u:
+        return Reject("relation", "b^2 != u")
+    if d ^ apply_by_lowest_bit(pd, a) != a ^ apply_by_lowest_bit(pa, d):
+        return Reject("relation", "da != ad")
+    if d ^ apply_by_lowest_bit(pd, b) != b ^ apply_by_lowest_bit(pb, d):
+        return Reject("relation", "db != bd")
+    ab = a ^ apply_by_lowest_bit(pa, b)
+    pab = compose(pa, pb)
+    if ab ^ apply_by_lowest_bit(pab, a) != b:
+        return Reject("relation", "aba != b")
+
+    table = element_perms("tqu", t)
+    q_vecs = (BitVector.zero(n), b, a, ab)  # e, b, a, ab; pi_d^j applied below
+    elements = []
+    for j in range(t):
+        for k in range(4):
+            for l in (0, 1):
+                vec = powers[j] ^ q_vecs[2 * (k % 2) + l]
+                if k >= 2:
+                    vec = vec ^ u
+                elements.append(
+                    PropelinearElement(vec, table[len(elements)], (j, k, l))
+                )
+        q_vecs = tuple(apply_by_lowest_bit(pd, v) for v in q_vecs)
+    gens = {
+        "d": PropelinearElement(d, pd, (1, 0, 0)),
+        "a": PropelinearElement(a, pa, (0, 1, 0)),
+        "b": PropelinearElement(b, pb, (0, 0, 1)),
+        "u": PropelinearElement(u, identity(n), (0, 2, 0)),
+    }
+    return _bitvector_finish_code("tqu", t, elements, gens)
+
+
+def bitvector_assemble_quaternion_variants(
+    t: int, d: BitVector
+) -> tuple[list[PropelinearCode], Reject | None]:
+    """All distinct codes over the free choices left by the derivations.
+
+    Two a free bits and one b seed give eight variants per d; variants with
+    identical codeword sets are collapsed (the b seeds always pair up as b and
+    bu).  Returns the distinct accepted codes plus the first rejection seen.
+    """
+    spec = family_spec("tqu", t)
+    n = spec.length
+    if d.n != n:
+        raise ValueError("candidate length %d != %d" % (d.n, n))
+    first_reject: Reject | None = None
+
+    def note(rej: Reject) -> None:
+        nonlocal first_reject
+        if first_reject is None:
+            first_reject = rej
+
+    if d.weight() != 2 * t:
+        rej = Reject("weight", "weight(d) != 2t")
+        return [], rej
+    pd = family_perms("tqu", t)["d"]
+    got = _bitvector_cyclic_powers(d, pd, t, 2 * t)
+    if isinstance(got, Reject):
+        return [], got
+    powers, endpoint = got
+    if endpoint.value != 0:
+        return [], Reject("order", "d^t != e")
+
+    accepted: list[PropelinearCode] = []
+    seen_sets: set[frozenset[int]] = set()
+    for f1 in (0, 1):
+        for f3 in (0, 1):
+            a = derive_a_from_d(d, (f1, f3), t)
+            for seed in (0, 1):
+                b = derive_b_from_a_quaternion(a, d, seed, t)
+                if b is None:
+                    note(Reject("no_b", "case table contradicts propagation"))
+                    continue
+                result = _bitvector_quaternion_code(t, d, a, b, powers)
+                if isinstance(result, Reject):
+                    note(result)
+                    continue
+                key = result.vector_values
+                if key in seen_sets:
+                    continue
+                seen_sets.add(key)
+                accepted.append(result)
+    return accepted, first_reject
+
+
+def bitvector_assemble_quaternion_explicit(
+    t: int, d: BitVector, a: BitVector, b: BitVector
+) -> PropelinearCode | Reject:
+    """Quaternion-family code from explicitly given generators."""
+    spec = family_spec("tqu", t)
+    if d.n != spec.length or a.n != spec.length or b.n != spec.length:
+        raise ValueError("length mismatch")
+    if d.weight() != 2 * t:
+        return Reject("weight", "weight(d) != 2t")
+    pd = family_perms("tqu", t)["d"]
+    got = _bitvector_cyclic_powers(d, pd, t, 2 * t)
+    if isinstance(got, Reject):
+        return got
+    powers, endpoint = got
+    if endpoint.value != 0:
+        return Reject("order", "d^t != e")
+    return _bitvector_quaternion_code(t, d, a, b, powers)
+
+
+def bitvector_assemble(tag: str, t: int, candidate: BitVector) -> PropelinearCode | Reject:
+    """hfpc.families.assemble on BitVector words and PropelinearElement
+    objects, with the set-bit loop of apply_by_lowest_bit for the action and
+    every pair of words compared by the Hadamard check."""
+    if tag in ("4tu2", "2t22u", "2t4u"):
+        return _bitvector_two_generator(tag, t, candidate)
+    if tag == "cyclic4tu":
+        return _bitvector_cyclic(t, candidate)
+    if tag == "tqu":
+        codes, rej = bitvector_assemble_quaternion_variants(t, candidate)
+        if codes:
+            return codes[0]
+        return rej if rej is not None else Reject("no_b", "no variant assembled")
+    raise ValueError("unknown family tag %r" % tag)
 
 
 # ---------------------------------------------------------------------------

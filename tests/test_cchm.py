@@ -80,6 +80,9 @@ def test_code_to_cchm_matches_known_rows():
     assert cchm_equivalent(out2, ROW_B)
     # the two codes are inequivalent rows as well
     assert not cchm_equivalent(out1, out2)
+    # the exact rows `hfpc cchm from-code` prints for the two generators
+    assert str(out1) == "-i,1,i,-i,-1,-1,-1,-i,i,1,-i,-i,1,-1,1,-i"
+    assert str(out2) == "-i,1,i,-i,-1,i,-i,-i,i,-1,i,-i,1,-i,-i,-i"
 
 
 def test_code_to_cchm_small():

@@ -1,17 +1,24 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hfpc.cchm import InvalidInput, sylvester_double
 from hfpc.families import (
     FAMILY_TAGS,
+    SEARCH_TAGS,
     Reject,
+    _finish_code,
     assemble,
+    assemble_quaternion_explicit,
     assemble_quaternion_variants,
     derive_a_from_d,
     derive_b_from_a,
     derive_b_from_a_quaternion,
+    element_labels,
     element_perms,
     family_perms,
     family_spec,
@@ -19,13 +26,25 @@ from hfpc.families import (
 from hfpc.gf2 import BitVector
 from hfpc.hadamard import is_hadamard_code
 from hfpc.perms import apply, compose, identity
+from hfpc.search import _scan_chunk, analytic_nonexistence
 from hfpc.propelinear import (
+    PropelinearElement,
     associated_group_order,
     element_power,
     is_full_propelinear,
     is_propelinear,
 )
-from helpers import GENERATOR_A, GENERATOR_B, generate_group, label_product, rebuild_code
+from helpers import (
+    GENERATOR_A,
+    GENERATOR_B,
+    _bitvector_finish_code,
+    bitvector_assemble,
+    bitvector_assemble_quaternion_explicit,
+    bitvector_assemble_quaternion_variants,
+    generate_group,
+    label_product,
+    rebuild_code,
+)
 
 V = BitVector.from_string
 
@@ -299,8 +318,6 @@ def test_half_parity_power_lemma(t, data):
     raw = data.draw(st.integers(0, (1 << n) - 1))
     a = BitVector(n, raw)
     pa = family_perms("2t22u", t)["a"]
-    from hfpc.propelinear import PropelinearElement
-
     end = element_power(PropelinearElement(a, pa), 2 * t)
     ph = (a.value >> (2 * t)).bit_count() & 1  # weight parities of the halves
     pl = (a.value & ((1 << (2 * t)) - 1)).bit_count() & 1
@@ -321,3 +338,152 @@ def test_accepted_codes_pass_all_predicates(accepted_pool):
             assert is_full_propelinear(code)
             assert is_hadamard_code(code.vectors(), t)
             assert associated_group_order(code) == 4 * t
+
+
+def _table(code):
+    """Everything the constructors build, in element order."""
+    return (
+        [(e.vector, e.perm, e.label) for e in code.elements],
+        code.values,
+        code.perms,
+        code.labels,
+        code.generators,
+    )
+
+
+def _assert_same_outcome(new, old) -> None:
+    if isinstance(old, Reject):
+        assert isinstance(new, Reject), old
+        assert (new.reason, new.detail) == (old.reason, old.detail)
+    else:
+        assert not isinstance(new, Reject), new
+        assert (new.family, new.t) == (old.family, old.t)
+        assert _table(new) == _table(old)
+
+
+def _searched_cells(t_max: int):
+    for t in range(1, t_max + 1):
+        for tag in SEARCH_TAGS:
+            if (tag == "tqu" and t % 2 == 0) or analytic_nonexistence(tag, t):
+                continue
+            yield tag, t
+
+
+def test_int_constructors_match_bitvector_builder_on_accepted_codes():
+    """Every accepted code of the searched cells with t <= 6, and of tqu t = 7."""
+    checked = 0
+    for tag, t in list(_searched_cells(6)) + [("tqu", 7)]:
+        n = 4 * t
+        accepted, _ = _scan_chunk((tag, t, 0, 1 << n, False))
+        for item in accepted:
+            if tag == "tqu":
+                d, a, b = (BitVector(n, x) for x in item)
+                new = assemble_quaternion_explicit(t, d, a, b)
+                old = bitvector_assemble_quaternion_explicit(t, d, a, b)
+            else:
+                new = assemble(tag, t, BitVector(n, item))
+                old = bitvector_assemble(tag, t, BitVector(n, item))
+            assert not isinstance(old, Reject)
+            _assert_same_outcome(new, old)
+            checked += 1
+    # 4tu2, 2t22u, 2t4u at t = 1; 4tu2, 2t4u at t = 2; tqu 3; 2t22u, 2t4u at
+    # t = 4; tqu 5; tqu 7 (4tu2 t = 4 and the t = 6 cells are empty)
+    assert checked == 2 + 2 + 2 + 8 + 8 + 24 + 96 + 32 + 120 + 840
+
+
+def _random_word(rng: random.Random, n: int, weight: int | None) -> int:
+    if weight is None:
+        return rng.getrandbits(n)
+    return sum(1 << p for p in rng.sample(range(n), weight))
+
+
+def test_int_constructors_match_bitvector_builder_on_seeded_candidates():
+    """Rejected candidates of every family: the same reason and detail."""
+    rng = random.Random(20180913)
+    reasons = {}
+    cases = [(tag, t) for tag in ("4tu2", "2t22u", "2t4u") for t in range(1, 7)]
+    cases += [("cyclic4tu", t) for t in range(1, 5)] + [("tqu", t) for t in (1, 3, 5, 7)]
+    for tag, t in cases:
+        n = 4 * t
+        for weight in (2 * t, 2 * t, None):
+            for _ in range(60):
+                cand = BitVector(n, _random_word(rng, n, weight))
+                if tag == "tqu":
+                    new_codes, new_rej = assemble_quaternion_variants(t, cand)
+                    old_codes, old_rej = bitvector_assemble_quaternion_variants(t, cand)
+                    assert len(new_codes) == len(old_codes)
+                    for new, old in zip(new_codes, old_codes):
+                        _assert_same_outcome(new, old)
+                    assert (new_rej is None) == (old_rej is None)
+                    if old_rej is not None:
+                        _assert_same_outcome(new_rej, old_rej)
+                        reasons.setdefault(tag, set()).add(old_rej.reason)
+                    # explicit generators: random a and b fail the relations
+                    a, b = (BitVector(n, _random_word(rng, n, 2 * t)) for _ in "ab")
+                    new = assemble_quaternion_explicit(t, cand, a, b)
+                    old = bitvector_assemble_quaternion_explicit(t, cand, a, b)
+                else:
+                    new = assemble(tag, t, cand)
+                    old = bitvector_assemble(tag, t, cand)
+                _assert_same_outcome(new, old)
+                if isinstance(old, Reject):
+                    reasons.setdefault(tag, set()).add(old.reason)
+    # candidates that pass the power, order and relation checks and fail
+    # only the Hadamard one (the scans' rejected_hadamard)
+    for tag, t, word in (
+        ("4tu2", 2, "00010111"),
+        ("2t4u", 4, "0000010101011111"),
+        ("tqu", 3, "010000110111"),
+    ):
+        new, old = assemble(tag, t, V(word)), bitvector_assemble(tag, t, V(word))
+        assert old == Reject("hadamard", "distance profile is not 2t/4t")
+        _assert_same_outcome(new, old)
+        reasons[tag].add(old.reason)
+    assert reasons["2t4u"] >= {"weight", "power", "order", "hadamard"}
+    assert reasons["4tu2"] >= {"weight", "power", "order", "hadamard"}
+    assert reasons["cyclic4tu"] >= {"weight", "power"}
+    assert reasons["tqu"] >= {"weight", "power", "order", "relation", "hadamard"}
+
+
+def test_finish_code_verdicts_match_bitvector_builder():
+    """The distinctness and fixed-point verdicts, which no candidate reaches
+    once its powers pass, on element tables edited by hand."""
+    for tag, t, cand in (("2t22u", 1, "1100"), ("2t4u", 4, "0110100100001111")):
+        n = 4 * t
+        good = assemble(tag, t, V(cand)).values
+        tables = {
+            "distinct": good[:1] + good[:1] + good[2:],
+            # e's slot carries the identity, which fixes every coordinate
+            "full_propelinear": (good[2],) + good[1:2] + (good[0],) + good[3:],
+        }
+        details = {
+            "distinct": "duplicate vectors in the element table",
+            "full_propelinear": "fixed point at %s" % BitVector(n, good[2]),
+        }
+        for reason, values in tables.items():
+            elements = [
+                PropelinearElement(BitVector(n, v), p, label)
+                for v, p, label in zip(values, element_perms(tag, t), element_labels(tag, t))
+            ]
+            old = _bitvector_finish_code(tag, t, elements, {})
+            assert old == Reject(reason, details[reason])
+            _assert_same_outcome(_finish_code(tag, t, values, {}), old)
+
+
+def test_sylvester_doubling_matches_bitvector_builder():
+    """cyclic4tu, then 2t4u at twice the length, over every word of length 4 and 8."""
+    doubled = 0
+    for t in (1, 2):
+        n = 4 * t
+        for x in range(1 << n):
+            a = BitVector(n, x)
+            base, old_base = assemble("cyclic4tu", t, a), bitvector_assemble("cyclic4tu", t, a)
+            _assert_same_outcome(base, old_base)
+            if isinstance(old_base, Reject):
+                with pytest.raises(InvalidInput, match=old_base.reason):
+                    sylvester_double(a)
+                continue
+            old = bitvector_assemble("2t4u", 2 * t, BitVector(2 * n, (x << n) | x))
+            _assert_same_outcome(sylvester_double(a), old)
+            doubled += 1
+    assert doubled == 4  # the circulant Hadamard codes of length 4

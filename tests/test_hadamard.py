@@ -4,8 +4,11 @@ import random
 
 import pytest
 
-from hfpc.families import assemble
+from hfpc import hadamard
+from hfpc.families import Reject, assemble
 from hfpc.gf2 import BitVector
+from hfpc.propelinear import PropelinearCode, PropelinearElement
+from hfpc.search import SearchTask, run_search
 from hfpc.hadamard import (
     bound_violations,
     is_hadamard_code,
@@ -211,6 +214,22 @@ def test_kernel_matches_exhaustive_oracle(accepted_pool):
             assert 1 << k == len(kernel_all_words(vecs))
 
 
+def test_kernel_tests_every_translate():
+    """A nonzero subspace plus one word w: each nonzero z of the subspace
+    keeps every word but w in the set, so only the translate of w rules it
+    out, and the set has odd size, so its kernel is {0}."""
+    rng = random.Random(2018)
+    for n in range(3, 9):
+        for _ in range(12):
+            span = span_of([rng.randrange(1, 1 << n) for _ in range(rng.randint(1, n - 1))])
+            outside = [x for x in range(1 << n) if x not in span]
+            for extra in (max(outside), min(outside), rng.choice(outside)):
+                vecs = [BitVector(n, x) for x in sorted(span | {extra})]
+                basis, k = kernel(vecs)
+                assert kernel_all_words(vecs) == {0}
+                assert k == 0 and span_of([r.value for r in basis.rows]) == {0}
+
+
 def test_kernel_dimension_invariant_under_translation():
     rng = random.Random(7)
     vecs = assemble("2t22u", 4, next(iter(_accepted_16()))).vectors()
@@ -249,6 +268,59 @@ def test_profile_fields():
     ]
     code2 = assemble("2t4u", 8, V(GENERATOR_B))
     assert profile(code2).rk == PROFILE_B
+
+
+def _count_verdicts(monkeypatch) -> list[int]:
+    calls = []
+    words = hadamard._is_hadamard_words
+
+    def counted(n, vals, t):
+        calls.append(t)
+        return words(n, vals, t)
+
+    monkeypatch.setattr(hadamard, "_is_hadamard_words", counted)
+    return calls
+
+
+def test_hadamard_verdict_is_computed_once_per_code(monkeypatch):
+    calls = _count_verdicts(monkeypatch)
+    result = run_search(SearchTask("tqu", 5))
+    # re-assembly checks each accepted code and profile reuses the verdict
+    assert len(result.accepted) == result.distinct_code_sets == 120
+    assert len(calls) == 120
+    # a candidate that passes the power, order and relation checks and
+    # fails only the Hadamard one
+    del calls[:]
+    rej = assemble("2t4u", 4, V("0000010101011111"))
+    assert rej == Reject("hadamard", "distance profile is not 2t/4t")
+    assert len(calls) == 1
+
+
+def test_profile_refuses_hand_built_non_hadamard_codes(monkeypatch):
+    code = assemble("2t4u", 4, V("0110100100001111"))
+    assert profile(code).rk == (7, 2)
+    # swap one complement pair {v, v + u} for another weight-8 pair
+    full = (1 << 16) - 1
+    v = code.values[2]
+    w = V("1111111100000000").value
+    assert w not in code.values
+    swap = {v: w, v ^ full: w ^ full}
+    values = tuple(swap.get(x, x) for x in code.values)
+    elements = tuple(
+        PropelinearElement(BitVector(16, x), p, label)
+        for x, p, label in zip(values, code.perms, code.labels)
+    )
+    calls = _count_verdicts(monkeypatch)
+    for bad in (
+        PropelinearCode(code.family, code.t, elements, code.generators),
+        PropelinearCode.from_words(
+            code.family, code.t, values, code.perms, code.labels, code.generators
+        ),
+    ):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="Hadamard"):
+                profile(bad)
+    assert len(calls) == 2  # once per code object
 
 
 def test_min_distance():

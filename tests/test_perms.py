@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import copy
+import pickle
+import random
 from math import lcm
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hfpc.families import FAMILY_TAGS, family_perms
 from hfpc.gf2 import BitVector
 from hfpc.perms import (
     Permutation,
+    act,
     apply,
     compose,
     from_cycles,
@@ -16,7 +21,7 @@ from hfpc.perms import (
     identity,
 )
 
-from helpers import apply_by_coordinates
+from helpers import apply_by_coordinates, apply_by_lowest_bit
 
 V = BitVector.from_string
 
@@ -86,3 +91,49 @@ def test_apply_matches_coordinate_oracle(n, data):
     v = data.draw(st.one_of(st.just(0), st.just(full), st.integers(0, full)))
     for x in (v, 0, full):
         assert apply(p, BitVector(n, x)) == apply_by_coordinates(p, BitVector(n, x))
+
+
+def _assert_act_matches_oracles(p: Permutation, words) -> None:
+    n = p.degree
+    for x in words:
+        v = BitVector(n, x)
+        got = act(p, x)
+        assert got == apply_by_coordinates(p, v).value, (p, x)
+        assert got == apply_by_lowest_bit(p, v).value, (p, x)
+        assert apply(p, v) == BitVector(n, got)
+
+
+def test_act_matches_oracles_on_seeded_permutations():
+    """Every degree 1-64, with and without a partial last byte, and a few
+    degrees past 64."""
+    rng = random.Random(1364)
+    for n in list(range(1, 65)) + [65, 71, 72, 80]:
+        full = (1 << n) - 1
+        for _ in range(4):
+            p = Permutation(tuple(rng.sample(range(1, n + 1), n)))
+            words = [0, full, 1, 1 << (n - 1)] + [rng.getrandbits(n) for _ in range(12)]
+            _assert_act_matches_oracles(p, words)
+
+
+def test_act_matches_oracles_on_family_generators():
+    rng = random.Random(1365)
+    for tag in FAMILY_TAGS:
+        for t in range(1, 17):
+            if tag == "tqu" and t % 2 == 0:
+                continue
+            n = 4 * t
+            perms = list(family_perms(tag, t).values())
+            if tag == "tqu":
+                perms.append(compose(perms[1], perms[2]))  # pi_a pi_b
+            words = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(8)]
+            for p in perms:
+                _assert_act_matches_oracles(p, words)
+
+
+def test_permutation_pickles_and_copies_after_act():
+    p = from_cycles(12, [(1, 5, 9), (2, 3)])
+    v = V("100000000001")
+    assert act(p, v.value) == apply(p, v).value
+    for q in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert q == p and hash(q) == hash(p)
+        assert apply(q, v) == V("000010000001")

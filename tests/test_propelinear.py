@@ -175,6 +175,17 @@ def test_is_propelinear_detects_corruption():
     assert not is_full_propelinear(bad)  # (1,2) fixes coordinates 3 and 4
 
 
+def test_is_propelinear_checks_composition_of_permutations():
+    """Every x + pi(y) stays in the code, but pi o pi != pi: only the
+    composition check can fail."""
+    code = generate_group(_even_weight_generators(), 8, family="2t22u")
+    swap = from_cycles(4, [(1, 2), (3, 4)])
+    elems = tuple(PropelinearElement(e.vector, swap, e.label) for e in code.elements)
+    bad = PropelinearCode("2t22u", 1, elems, {})
+    assert {star(x, y.vector).value for x in elems for y in elems} == bad.vector_values
+    assert not is_propelinear(bad)
+
+
 def test_full_propelinear_rejects_identity_on_interior_word():
     code = generate_group(_even_weight_generators(), 8, family="2t22u")
     elems = [
