@@ -13,7 +13,9 @@ The abelian families share pi_a = (1..2t)(2t+1..4t) and pi_b = (1,2t+1)...(2t,4t
 Commutation ab = ba pins b to a suffix-sum of a + pi_b(a) up to one free bit,
 which is fixed to 0 here: the alternative differs by u and generates the same
 code.  For the quaternion family, d determines a up to two free bits and a
-determines b up to one seed bit resolved by propagating db = bd block by block.
+determines b up to one seed bit resolved by propagating db = bd block by block;
+the seed is fixed to 0 in the same way, since seed 1 gives b + u and the same
+code, so every d has four variants, one per pair of free bits of a.
 """
 
 from __future__ import annotations
@@ -265,22 +267,32 @@ def derive_b_from_a_quaternion(
     return BitVector.from_bits(bits)
 
 
-def _cyclic_powers(
-    gen: int, perm: Permutation, order: int, weight: int
-) -> tuple[list[int], int] | Reject:
-    """Words gen^0 .. gen^{order-1} plus the endpoint gen^order.
+def _checked_powers(
+    tag: str, t: int, g: BitVector, name: str, order: int, end: int
+) -> list[int] | Reject:
+    """Words g^0 .. g^{order-1} of the generator called name in a (tag, t) code.
 
-    Powers are produced one at a time and the run aborts on the first power
-    of wrong weight, which is where almost all candidates die.
+    The checks run in a fixed order and the first failure is returned as a
+    Reject: weight(g) = 2t, then the weight of every power in turn (where
+    almost all candidates die), then g^order = end (0 for e, all ones for u).
     """
+    n = 4 * t
+    if g.n != n:
+        raise ValueError("candidate length %d != %d" % (g.n, n))
+    if g.weight() != 2 * t:
+        return Reject("weight", "weight(%s) != 2t" % name)
+    perm = family_perms(tag, t)[name]
     powers = [0]
-    cur = gen
+    cur = g.value
     for j in range(1, order):
-        if cur.bit_count() != weight:
-            return Reject("power", "weight(g^%d) != %d" % (j, weight))
+        if cur.bit_count() != 2 * t:
+            return Reject("power", "weight(g^%d) != %d" % (j, 2 * t))
         powers.append(cur)
-        cur = gen ^ act(perm, cur)
-    return powers, cur
+        cur = g.value ^ act(perm, cur)
+    if cur != end:
+        exponent = "t" if order == t else "%dt" % (order // t)
+        return Reject("order", "%s^%s != %s" % (name, exponent, "u" if end else "e"))
+    return powers
 
 
 def _finish_code(
@@ -315,19 +327,12 @@ def _element(value: int, perm: Permutation, label: Label) -> PropelinearElement:
 def _assemble_two_generator(tag: str, t: int, a: BitVector) -> PropelinearCode | Reject:
     spec = family_spec(tag, t)
     n = spec.length
-    if a.n != n:
-        raise ValueError("candidate length %d != %d" % (a.n, n))
-    if a.weight() != 2 * t:
-        return Reject("weight", "weight(a) != 2t")
+    full = (1 << n) - 1
+    powers = _checked_powers(tag, t, a, "a", 2 * t, full if spec.cyclic_power_is_u else 0)
+    if isinstance(powers, Reject):
+        return powers
     perms = family_perms(tag, t)
     pa, pb = perms["a"], perms["b"]
-    got = _cyclic_powers(a.value, pa, 2 * t, 2 * t)
-    if isinstance(got, Reject):
-        return got
-    powers, endpoint = got
-    full = (1 << n) - 1
-    if endpoint != (full if spec.cyclic_power_is_u else 0):
-        return Reject("order", "a^2t != %s" % ("u" if spec.cyclic_power_is_u else "e"))
     av, bv = a.value, derive_b_from_a(a, tag, t).value
     if av ^ act(pa, bv) != bv ^ act(pb, av):
         return Reject("relation", "ab != ba")
@@ -352,19 +357,12 @@ def _assemble_two_generator(tag: str, t: int, a: BitVector) -> PropelinearCode |
 
 
 def _assemble_cyclic(t: int, a: BitVector) -> PropelinearCode | Reject:
+    powers = _checked_powers("cyclic4tu", t, a, "a", 4 * t, 0)
+    if isinstance(powers, Reject):
+        return powers
     n = 4 * t
-    if a.n != n:
-        raise ValueError("candidate length %d != %d" % (a.n, n))
-    if a.weight() != 2 * t:
-        return Reject("weight", "weight(a) != 2t")
-    pa = family_perms("cyclic4tu", t)["a"]
-    got = _cyclic_powers(a.value, pa, 4 * t, 2 * t)
-    if isinstance(got, Reject):
-        return got
-    powers, endpoint = got
-    if endpoint != 0:
-        return Reject("order", "a^4t != e")
     full = (1 << n) - 1
+    pa = family_perms("cyclic4tu", t)["a"]
     values: list[int] = []
     for wj in powers:
         values += (wj, wj ^ full)
@@ -421,54 +419,32 @@ def _quaternion_ab_perm(t: int) -> Permutation:
 def assemble_quaternion_variants(
     t: int, d: BitVector
 ) -> tuple[list[PropelinearCode], Reject | None]:
-    """All distinct codes over the free choices left by the derivations.
+    """All distinct codes over the two a free bits, with the b seed fixed to 0.
 
-    Two a free bits and one b seed give eight variants per d; variants with
-    identical codeword sets are collapsed (the b seeds always pair up as b and
-    bu).  Returns the distinct accepted codes plus the first rejection seen.
+    The four choices (f1, f3) give four variants per d; variants with
+    identical codeword sets are collapsed.  The b seed is fixed to 0 as the
+    abelian families fix their free bit: seed 1 gives b + u, which passes and
+    fails every check together with b and generates the same codeword set.
+    Returns the distinct accepted codes plus the first rejection seen.
     """
-    spec = family_spec("tqu", t)
-    n = spec.length
-    if d.n != n:
-        raise ValueError("candidate length %d != %d" % (d.n, n))
+    family_spec("tqu", t)  # validates parity before any Reject
+    powers = _checked_powers("tqu", t, d, "d", t, 0)
+    if isinstance(powers, Reject):
+        return [], powers
+    codes: dict[frozenset[int], PropelinearCode] = {}
     first_reject: Reject | None = None
-
-    def note(rej: Reject) -> None:
-        nonlocal first_reject
-        if first_reject is None:
-            first_reject = rej
-
-    if d.weight() != 2 * t:
-        rej = Reject("weight", "weight(d) != 2t")
-        return [], rej
-    pd = family_perms("tqu", t)["d"]
-    got = _cyclic_powers(d.value, pd, t, 2 * t)
-    if isinstance(got, Reject):
-        return [], got
-    powers, endpoint = got
-    if endpoint != 0:
-        return [], Reject("order", "d^t != e")
-
-    accepted: list[PropelinearCode] = []
-    seen_sets: set[frozenset[int]] = set()
-    for f1 in (0, 1):
-        for f3 in (0, 1):
-            a = derive_a_from_d(d, (f1, f3), t)
-            for seed in (0, 1):
-                b = derive_b_from_a_quaternion(a, d, seed, t)
-                if b is None:
-                    note(Reject("no_b", "case table contradicts propagation"))
-                    continue
-                result = _quaternion_code(t, d.value, a.value, b.value, powers)
-                if isinstance(result, Reject):
-                    note(result)
-                    continue
-                key = result.vector_values
-                if key in seen_sets:
-                    continue
-                seen_sets.add(key)
-                accepted.append(result)
-    return accepted, first_reject
+    for free_bits in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        a = derive_a_from_d(d, free_bits, t)
+        b = derive_b_from_a_quaternion(a, d, 0, t)
+        if b is None:
+            result = Reject("no_b", "case table contradicts propagation")
+        else:
+            result = _quaternion_code(t, d.value, a.value, b.value, powers)
+        if not isinstance(result, Reject):
+            codes.setdefault(result.vector_values, result)
+        elif first_reject is None:
+            first_reject = result
+    return list(codes.values()), first_reject
 
 
 def assemble_quaternion_explicit(
@@ -478,15 +454,9 @@ def assemble_quaternion_explicit(
     spec = family_spec("tqu", t)
     if d.n != spec.length or a.n != spec.length or b.n != spec.length:
         raise ValueError("length mismatch")
-    if d.weight() != 2 * t:
-        return Reject("weight", "weight(d) != 2t")
-    pd = family_perms("tqu", t)["d"]
-    got = _cyclic_powers(d.value, pd, t, 2 * t)
-    if isinstance(got, Reject):
-        return got
-    powers, endpoint = got
-    if endpoint != 0:
-        return Reject("order", "d^t != e")
+    powers = _checked_powers("tqu", t, d, "d", t, 0)
+    if isinstance(powers, Reject):
+        return powers
     return _quaternion_code(t, d.value, a.value, b.value, powers)
 
 
@@ -503,7 +473,5 @@ def assemble(tag: str, t: int, candidate: BitVector) -> PropelinearCode | Reject
         return _assemble_cyclic(t, candidate)
     if tag == "tqu":
         codes, rej = assemble_quaternion_variants(t, candidate)
-        if codes:
-            return codes[0]
-        return rej if rej is not None else Reject("no_b", "no variant assembled")
+        return codes[0] if codes else rej
     raise ValueError("unknown family tag %r" % tag)

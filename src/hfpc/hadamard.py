@@ -138,6 +138,8 @@ def bound_violations(length: int, size: int, r: int, k: int) -> list[str]:
     Nonlinearity means r > k.  The odd-t rank/kernel pin applies only to
     nonlinear codes (linear ones have r = k, e.g. (3,3) at length 4).
     """
+    if length < 1:
+        raise ValueError("code length must be positive")
     out = []
     s, tp = _two_adic(length)
     t = length // 4

@@ -150,24 +150,18 @@ def _run_chunks(chunk_args: list[tuple], workers: int) -> list[tuple]:
         return list(ex.map(_scan_chunk, chunk_args))
 
 
-def _verify_two_generator(tag: str, t: int, a_val: int) -> PropelinearCode:
-    code = assemble(tag, t, BitVector(4 * t, a_val))
-    if isinstance(code, Reject):
-        raise RuntimeError(
-            "scan kernel accepted %s but the reference constructor rejected it "
-            "(%s); kernel and reference disagree" % (format(a_val, "b"), code.reason)
-        )
-    return code
-
-
-def _verify_quaternion(t: int, triple: tuple[int, int, int]) -> PropelinearCode:
+def _verify(family: str, t: int, item) -> PropelinearCode:
+    """The reference constructor's code for one accepted scan item: the word
+    a, or the (d, a, b) triple of the quaternion family."""
     n = 4 * t
-    d, a, b = (BitVector(n, x) for x in triple)
-    code = assemble_quaternion_explicit(t, d, a, b)
+    if family == "tqu":
+        code = assemble_quaternion_explicit(t, *(BitVector(n, x) for x in item))
+    else:
+        code = assemble(family, t, BitVector(n, item))
     if isinstance(code, Reject):
         raise RuntimeError(
-            "scan kernel accepted a quaternion variant the reference "
-            "constructor rejected (%s)" % code.reason
+            "scan kernel accepted %s %s %s but the reference constructor rejected "
+            "it (%s); kernel and reference disagree" % (family, t, item, code.reason)
         )
     return code
 
@@ -205,13 +199,10 @@ def run_search(task: SearchTask, workers: int = 1) -> SearchResult:
 
     accepted: list[AcceptedCode] = []
     profile_cache: dict[frozenset[int], CodeProfile] = {}
+    searched = "d" if task.family == "tqu" else "a"
     for item in accepted_raw:
-        if task.family == "tqu":
-            code = _verify_quaternion(task.t, item)
-            cand = str(code.generators["d"].vector)
-        else:
-            code = _verify_two_generator(task.family, task.t, item)
-            cand = str(code.generators["a"].vector)
+        code = _verify(task.family, task.t, item)
+        cand = str(code.generators[searched].vector)
         key = code.vector_values
         prof = profile_cache.get(key)
         if prof is None:

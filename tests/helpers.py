@@ -19,6 +19,7 @@ from bisect import bisect_left
 from collections import Counter
 from heapq import heappop, heappush, heapreplace
 from itertools import combinations
+from math import lcm
 from typing import Callable, Iterator, Sequence
 
 from hfpc import _scan_py
@@ -36,7 +37,7 @@ from hfpc.families import (
 from hfpc.gf2 import BitVector
 from hfpc.hadamard import _values
 from hfpc.perms import Permutation, compose, has_fixed_point, identity
-from hfpc.propelinear import Label, PropelinearCode, PropelinearElement, star_elem
+from hfpc.propelinear import Label, PropelinearCode, PropelinearElement, star, star_elem
 
 # Known order-16 circulant complex Hadamard rows and the generators of the
 # corresponding length-32 codes, with their (rank, kernel dimension).
@@ -593,17 +594,19 @@ def iterated_star_power(x: PropelinearElement, i: int) -> BitVector:
 def star_powers(x: PropelinearElement, limit: int) -> list[BitVector]:
     """Vectors of x^1 .. x^order by one star chain, independent of element_power.
 
-    x^i is star_elem(x, x^(i-1)); the chain stops at the first identity
-    element, so the list's length is the order of x (at most limit).
+    The vector of x^i is star(x, x^(i-1)).  x^i is the identity when its
+    vector is 0 and i is a multiple of the order of pi_x, the lcm of its
+    cycle lengths, found once; the list's length is the order of x (at most
+    limit).
     """
-    identity = tuple(range(1, x.perm.degree + 1))
-    acc = x
+    perm_order = lcm(*map(len, x.perm.cycles()))
+    acc = x.vector
     out = []
-    for _ in range(limit):
-        out.append(acc.vector)
-        if acc.vector.value == 0 and acc.perm.images == identity:
+    for i in range(1, limit + 1):
+        out.append(acc)
+        if acc.value == 0 and i % perm_order == 0:
             return out
-        acc = star_elem(x, acc)
+        acc = star(x, acc)
     raise AssertionError("order above limit")
 
 

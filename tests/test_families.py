@@ -38,6 +38,7 @@ from helpers import (
     GENERATOR_A,
     GENERATOR_B,
     _bitvector_finish_code,
+    all_weight_w,
     bitvector_assemble,
     bitvector_assemble_quaternion_explicit,
     bitvector_assemble_quaternion_variants,
@@ -443,6 +444,30 @@ def test_int_constructors_match_bitvector_builder_on_seeded_candidates():
     assert reasons["4tu2"] >= {"weight", "power", "order", "hadamard"}
     assert reasons["cyclic4tu"] >= {"weight", "power"}
     assert reasons["tqu"] >= {"weight", "power", "order", "relation", "hadamard"}
+
+
+def test_four_tqu_variants_match_the_eight_variant_oracle():
+    """The b seed fixed to 0 loses nothing against both seeds of the oracle,
+    on every weight-6 d of t = 3 and every accepted d of t = 3 and 5: the same
+    code sets in the same order, the same a and b, the same first Reject."""
+    cases = [(3, d) for d in all_weight_w(12, 6)]
+    for t in (3, 5):
+        accepted, _ = _scan_chunk(("tqu", t, 0, 1 << (4 * t), False))
+        cases += [(t, d) for d in sorted({d for d, _, _ in accepted})]
+    with_codes = 0
+    for t, d in cases:
+        new_codes, new_rej = assemble_quaternion_variants(t, BitVector(4 * t, d))
+        old_codes, old_rej = bitvector_assemble_quaternion_variants(t, BitVector(4 * t, d))
+        assert [c.vector_values for c in new_codes] == [c.vector_values for c in old_codes]
+        for new, old in zip(new_codes, old_codes):
+            for name in ("a", "b"):
+                assert new.generators[name] == old.generators[name]
+        assert (new_rej is None) == (old_rej is None)
+        if old_rej is not None:
+            assert (new_rej.reason, new_rej.detail) == (old_rej.reason, old_rej.detail)
+        with_codes += bool(old_codes)
+    # 12 accepted d among the weight-6 words, then 12 and 60 accepted d
+    assert with_codes == 12 + 12 + 60
 
 
 def test_finish_code_verdicts_match_bitvector_builder():

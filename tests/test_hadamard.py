@@ -342,6 +342,13 @@ def test_bound_checks():
     assert bound_violations(12, 24, 11, 2)  # odd t nonlinear needs k = 1
 
 
+def test_bound_violations_refuses_nonpositive_length():
+    # length 0 has no 2-adic valuation: it is refused, not halved forever
+    for length in (0, -4):
+        with pytest.raises(ValueError, match="length"):
+            bound_violations(length, 0, 0, 0)
+
+
 def test_bounds_clean_on_all_accepted(accepted_pool):
     for result in accepted_pool.values():
         for acc in result.accepted:
