@@ -37,12 +37,12 @@ those of the full check alone.
   row-0 weights wt(d^j + rot^j a), j < t, split the same way; a variant
   passes them exactly when its two a-weight signatures are complementary.
   The right parts of each power-signature class are indexed by a-weight
-  signature.  A full-range scan is one pass over the left parts: for each,
-  it counts the survivors in range by bisection, checks the variants of
-  those in its two matching a-weight buckets, and charges each other
-  survivor its four variants as rejected; only the accepted triples are
-  sorted into stream order at the end.  A first-accept scan merges every
-  survivor in stream order instead, to stop at the first accept.
+  signature.  A scan is one walk over the left parts: for each, it counts
+  the survivors in range by bisection, checks the variants of those in its
+  two matching a-weight buckets, and charges each other survivor its four
+  variants as rejected; only the accepted triples are sorted into stream
+  order at the end.  A first-accept scan runs the same walk on aligned
+  windows of doubling size and stops in the first window with an accept.
   The variants that pass go on to the b derivation, the relations and the
   rest of row 0 (wt(d^j + rot^j b) and wt(d^j + rot^j ab)).
 
@@ -54,7 +54,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from heapq import heappop, heappush, heapreplace
 from math import comb
 from operator import itemgetter
 
@@ -326,8 +325,9 @@ class _QuaternionTables:
         self.full = sum(2 * t << (_FIELD * j) for j in range(max(t - 1, 1)))
         self.full_a = sum(2 * t << (_FIELD * j) for j in range(t - 1))
         self.rights: dict[int, tuple[int, ...]] = {}  # left pair signature -> right parts
-        # left pair signature -> {a-weight signature: those right parts, ascending}
-        self.rights_by_a: dict[int, dict[int, tuple[int, ...]]] = {}
+        # left pair signature -> ({a-weight signature: those right parts,
+        # ascending}, how many of rights_for(sig) the buckets hold so far)
+        self.rights_by_a: dict[int, tuple[dict[int, list[int]], int]] = {}
 
         # A left part is a 2t-bit number m whose digit k (bits 2k + 1, 2k) is
         # (strand 3 bit k, strand 2 bit k); ascending m is ascending part.  m
@@ -368,14 +368,19 @@ class _QuaternionTables:
             )
         return rights
 
-    def rights_by_a_for(self, sig: int) -> dict[int, tuple[int, ...]]:
-        """rights_for(sig) split by the a-weight signature of each right part."""
-        buckets = self.rights_by_a.get(sig)
-        if buckets is None:
-            lists: dict[int, list[int]] = {}
-            for rv in self.rights_for(sig):
-                lists.setdefault(self.a_signature(rv), []).append(rv)
-            buckets = self.rights_by_a[sig] = {ar: tuple(rs) for ar, rs in lists.items()}
+    def rights_by_a_for(self, sig: int, bound: int) -> dict[int, list[int]]:
+        """rights_for(sig) split by the a-weight signature of each right part.
+
+        The buckets hold every right part below bound, and maybe more: they
+        grow, ascending, only as far as the callers have asked so far.
+        """
+        rights = self.rights_for(sig)
+        buckets, done = self.rights_by_a.get(sig) or ({}, 0)
+        if done < len(rights) and rights[done] < bound:
+            end = bisect_left(rights, bound, done)
+            for rv in rights[done:end]:
+                buckets.setdefault(self.a_signature(rv), []).append(rv)
+            self.rights_by_a[sig] = (buckets, end)
         return buckets
 
     def a_signature(self, part: int) -> int:
@@ -412,17 +417,28 @@ class _QuaternionTables:
         """(left part, its pair signature), ascending part, if it has right parts.
 
         Yields every left part with a right part that could put the word in
-        [lo, hi): parts whose largest word (all right bits set) is below lo
-        are skipped by bisection, since that largest word grows with the part.
+        [lo, hi), for lo < hi.  Every word in range has lo's bits above the
+        top bit where lo and hi - 1 differ, so only the parts that share
+        those bits are walked; on the full range that is every part.  Among
+        them, parts whose largest word (all right bits set) is below lo are
+        skipped by bisection, since that largest word grows with the part.
         """
         t, tl = self.t, self.tl
         rmask = self.rmask
         low_values, high = self.low_values, self.high
         low_bits = 2 * tl
-        first, last = 0, 1 << (2 * t)
+        low_mask = (1 << low_bits) - 1
+        # the parts m whose bits above the lowest j are lo's, j being the
+        # number of left bit positions below the top bit where lo and hi - 1
+        # differ; the first part after them bounds the walk as hi does
+        j = ((rmask << 2) & ((1 << (lo ^ (hi - 1)).bit_length()) - 1)).bit_count()
+        first = sum(((lo >> (4 * k + 2)) & 3) << (2 * k) for k in range(t)) >> j << j
+        last = first + (1 << j)
+        if last < 1 << (2 * t):
+            hi = min(hi, high[last >> low_bits][2] | low_values[last & low_mask])
         while first < last:
             mid = (first + last) >> 1
-            if (high[mid >> low_bits][2] | low_values[mid & ((1 << low_bits) - 1)] | rmask) < lo:
+            if (high[mid >> low_bits][2] | low_values[mid & low_mask] | rmask) < lo:
                 first = mid + 1
             else:
                 last = mid
@@ -434,7 +450,7 @@ class _QuaternionTables:
             bucket = self.low_by_parity[par]  # the same parities make both strands even
             start = 0
             if mh == first >> low_bits:
-                start = bisect_left(bucket, (first & ((1 << low_bits) - 1),))
+                start = bisect_left(bucket, (first & low_mask,))
             for i in range(start, len(bucket)):
                 _, s3l, s2l, lvl = bucket[i]
                 lv = lvh | lvl
@@ -582,39 +598,50 @@ def _quaternion_variants(
     return accepted, rej_nob, rej_rel, rej_had
 
 
-def _stream_order(tab: _QuaternionTables, lo: int, hi: int):
-    """Every power survivor in [lo, hi), ascending, with its a-weight verdicts.
+def _walk(tab: _QuaternionTables, lo: int, hi: int, first_only: bool):
+    """The accepted triples in [lo, hi), ascending, and (survivors,
+    rejected_no_b, rejected_relation, rejected_hadamard).
 
-    A k-way merge of the left parts' streams d = left + right: a left part
-    joins the heap once no word below it is left there.  A right part recurs
-    under many left parts, so its a-weight signature is kept for the call.
+    Per left part (a-weight signature al) only the right parts with signature
+    full_a - al (f1 = f3) or al (f1 != f3) are visited; the other survivors
+    fail the a-weight test in all 4 variants.  With first_only a d's variants
+    stop at its first accept, which lowers hi to d + 1 and replaces the one
+    triple kept: the walk ends with the least accepted d, but its counters
+    are those of [lo, hi) only if it accepts nothing or d = hi - 1.
     """
-    full_a = tab.full_a
-    a_sigs: dict[int, int] = {}  # right part -> a-weight signature
-    heap: list[tuple[int, int, int, tuple[int, ...], int]] = []
-    lefts = tab.lefts(lo, hi)
-    nxt = next(lefts, None)
-    while True:
-        while nxt is not None and (not heap or nxt[0] < heap[0][0]):
-            lv, sig = nxt
-            rights = tab.rights_for(sig)
-            pos = bisect_left(rights, lo - lv)
-            if pos < len(rights) and lv + rights[pos] < hi:
-                heappush(heap, (lv + rights[pos], pos, lv, rights, tab.a_signature(lv)))
-            nxt = next(lefts, None)
-        if not heap:
-            return
-        d, pos, lv, rights, al = heap[0]
-        rv = d - lv
-        ar = a_sigs.get(rv)
-        if ar is None:
-            ar = a_sigs[rv] = tab.a_signature(rv)
-        yield d, (al + ar == full_a, al == ar)
-        pos += 1
-        if pos < len(rights) and lv + rights[pos] < hi:
-            heapreplace(heap, (lv + rights[pos], pos, lv, rights, al))
-        else:
-            heappop(heap)
+    t = tab.t
+    accepted: list[tuple[int, int, int]] = []
+    survivors = rej_nob = rej_rel = rej_had = 0
+    for lv, sig in tab.lefts(lo, hi):
+        rights = tab.rights_for(sig)
+        rlo, rhi = lo - lv, hi - lv
+        count = bisect_left(rights, rhi) - bisect_left(rights, rlo)
+        if not count:
+            continue
+        survivors += count
+        al = tab.a_signature(lv)
+        match = tab.full_a - al
+        by_a = tab.rights_by_a_for(sig, rhi)
+        visits = [(match, (True, al == match))]
+        if al != match:
+            visits.append((al, (False, True)))
+        for ar, allowed in visits:
+            bucket = by_a.get(ar, ())
+            start, end = bisect_left(bucket, rlo), bisect_left(bucket, hi - lv)
+            count -= end - start
+            for rv in bucket[start:end]:
+                acc, nob, rel, had = _quaternion_variants(lv + rv, t, allowed, first_only)
+                rej_nob += nob
+                rej_rel += rel
+                rej_had += had
+                if acc and first_only:
+                    accepted, hi = acc, lv + rv + 1
+                    break
+                accepted += acc
+        rej_had += 4 * count
+    # stable: the triples of one d keep their (f1, f3) order
+    accepted.sort(key=itemgetter(0))
+    return accepted, (survivors, rej_nob, rej_rel, rej_had)
 
 
 def scan_quaternion(
@@ -625,52 +652,23 @@ def scan_quaternion(
     if lo >= hi:
         return [], (0, 0, 0, 0, 0)
     tab = _quaternion_tables(t)
-    accepted: list[tuple[int, int, int]] = []
-    survivors = rej_nob = rej_rel = rej_had = 0
-    if first_only:
-        # every survivor in stream order, up to the first accept
-        for d, allowed in _stream_order(tab, lo, hi):
-            survivors += 1
-            if allowed[0] or allowed[1]:
-                accepted, nob, rel, had = _quaternion_variants(d, t, allowed, True)
-                rej_nob += nob
-                rej_rel += rel
-                rej_had += had
-                if accepted:
-                    hi = d + 1  # counting stops at the first accepted candidate
-                    break
-            else:
-                rej_had += 4
-    else:
-        # per left part (a-weight signature al) only the right parts with
-        # signature full_a - al (f1 = f3) or al (f1 != f3) are visited; the
-        # other survivors fail the a-weight test in all 4 variants
-        full_a = tab.full_a
-        for lv, sig in tab.lefts(lo, hi):
-            rights = tab.rights_for(sig)
-            rlo, rhi = lo - lv, hi - lv
-            count = bisect_left(rights, rhi) - bisect_left(rights, rlo)
-            if not count:
-                continue
-            survivors += count
-            al = tab.a_signature(lv)
-            match = full_a - al
-            by_a = tab.rights_by_a_for(sig)
-            visits = [(match, (True, al == match))]
-            if al != match:
-                visits.append((al, (False, True)))
-            for ar, allowed in visits:
-                bucket = by_a.get(ar, ())
-                start, end = bisect_left(bucket, rlo), bisect_left(bucket, rhi)
-                count -= end - start
-                for rv in bucket[start:end]:
-                    acc, nob, rel, had = _quaternion_variants(lv + rv, t, allowed, False)
-                    accepted += acc
-                    rej_nob += nob
-                    rej_rel += rel
-                    rej_had += had
-            rej_had += 4 * count
-        # stable: the triples of one d keep their (f1, f3) order
-        accepted.sort(key=itemgetter(0))
+    # All mode walks [lo, hi) at once.  First mode walks it in windows: each
+    # is the part from its start on of a block aligned to its own size, so
+    # `lefts` walks only the left parts that share the block's high bits.
+    # The size doubles from 2^2t, the square root of the word range, which
+    # holds tens to hundreds of power survivors for t = 7 to 11.  In the
+    # window of the first accept d, a second walk over [start, d + 1) counts.
+    size = 1 << (2 * t if first_only else 4 * t)
+    start = lo
+    totals = [0, 0, 0, 0]
+    while start < hi:
+        end = min((start | (size - 1)) + 1, hi)
+        accepted, counts = _walk(tab, start, end, first_only)
+        if accepted and first_only:
+            hi = accepted[0][0] + 1  # counting stops at the first accepted candidate
+            accepted, counts = _walk(tab, start, hi, True)
+        totals = [x + y for x, y in zip(totals, counts)]
+        start, size = end, size << 1
+    survivors, rej_nob, rej_rel, rej_had = totals
     examined = _quaternion_rank(hi, t) - _quaternion_rank(lo, t)
     return accepted, (examined, examined - survivors, rej_nob, rej_rel, rej_had)

@@ -1,5 +1,6 @@
 """Pruned exhaustive search over generator candidates, with deterministic
-parallelism, deduplication, and reproduction of the results table.
+parallelism, one profile per distinct code set, and reproduction of the
+results table.
 
 The raw candidate space for (family, t) is the integer interval [0, 2^4t) in
 the BitVector layout; the candidate stream is its ascending subset of
@@ -42,7 +43,6 @@ __all__ = [
     "TableCell",
     "candidate_count",
     "run_search",
-    "dedup",
     "analytic_nonexistence",
     "reproduce_table",
 ]
@@ -232,18 +232,6 @@ def run_search(task: SearchTask, workers: int = 1) -> SearchResult:
     )
 
 
-def dedup(accepted: list[AcceptedCode]) -> list[AcceptedCode]:
-    """One representative per distinct code set, keeping stream order."""
-    seen: set[frozenset[int]] = set()
-    out = []
-    for a in accepted:
-        if a.vector_values in seen:
-            continue
-        seen.add(a.vector_values)
-        out.append(a)
-    return out
-
-
 def analytic_nonexistence(tag: str, t: int) -> bool:
     """Cells excluded by the parity / square-order arguments, no search needed."""
     if t == 1:
@@ -287,9 +275,7 @@ def reproduce_table(
                 row.append(TableCell(tag, t, "skipped-budget", candidates=count))
                 continue
             result = run_search(SearchTask(tag, t, mode="all"), workers=workers)
-            profs = tuple(
-                sorted({a.profile.rk for a in dedup(result.accepted)})
-            )
+            profs = tuple(sorted({a.profile.rk for a in result.accepted}))
             row.append(
                 TableCell(
                     tag,

@@ -1125,7 +1125,9 @@ def heap_scan_quaternion(
 ) -> tuple[list[tuple[int, int, int]], tuple[int, int, int, int, int]]:
     """The quaternion scan as one stream-order merge over every power survivor.
 
-    Same signature, counters and accepted order as hfpc._scan_py.scan_quaternion
+    This merge was the kernel's first mode before first mode became the
+    all-mode walk on doubling windows; it stays as an oracle for both.  Same
+    signature, counters and accepted order as hfpc._scan_py.scan_quaternion
     in both modes; it visits every survivor, a-weight match or not, and checks
     the matches with full_check_quaternion_variants.
     """

@@ -187,6 +187,68 @@ def test_quaternion_join_matches_heap_merge_oracle():
     assert accepted
 
 
+def test_quaternion_right_buckets_grow_to_each_bound():
+    # a fresh index, asked for rising bounds, holds a prefix of the class's
+    # right parts that reaches each bound, filed by a-weight signature
+    rng = random.Random(31)
+    for t in (5, 7):
+        tab = _scan_py._QuaternionTables(t)
+        sigs = sorted({sig for _, sig in tab.lefts(0, 1 << (4 * t))})
+        for sig in rng.sample(sigs, min(12, len(sigs))):
+            rights = tab.rights_for(sig)
+            picks = sorted(rng.sample(range(len(rights)), min(6, len(rights))))
+            for k in picks:
+                buckets = tab.rights_by_a_for(sig, rights[k] + 1)
+                held = sorted(rv for bucket in buckets.values() for rv in bucket)
+                assert k < len(held) and held == list(rights[: len(held)]), (t, sig, k)
+                for ar, bucket in buckets.items():
+                    assert bucket == sorted(bucket), (t, sig)
+                    assert all(tab.a_signature(rv) == ar for rv in bucket), (t, sig)
+
+
+def _first_window(monkeypatch, t):
+    """Size of first mode's first window, read from the walks of a scan from 0."""
+    walk = _scan_py._walk
+    bounds = []
+
+    def logged(tab, lo, hi, first):
+        bounds.append((lo, hi))
+        return walk(tab, lo, hi, first)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_scan_py, "_walk", logged)
+        _scan_py.scan_quaternion(t, 0, 1 << (4 * t), True)
+    assert len(bounds) > 2 and bounds[0][0] == 0, bounds
+    return bounds[0][1]
+
+
+def test_quaternion_first_mode_at_window_edges(monkeypatch):
+    # an accepted d and the next one; the accepted d before it lies more than
+    # a first window below
+    for t, d, following in ((7, 130_418_375, 143_257_849), (9, 6_500_824_873, 6_534_518_601)):
+        w = _first_window(monkeypatch, t)
+        assert w & (w - 1) == 0, w
+        for lo in (d - w + 1, d - w, d):
+            got = _scan_py.scan_quaternion(t, lo, 1 << (4 * t), True)
+            assert got[0][0][0] == d, (t, lo)
+            assert got == heap_scan_quaternion(t, lo, 1 << (4 * t), True), (t, lo)
+        # no accept in range: every window runs and gives the all-mode counters
+        got = _scan_py.scan_quaternion(t, d + 1, following, True)
+        assert got[0] == [], t
+        assert got == _scan_py.scan_quaternion(t, d + 1, following, False), t
+        assert got == heap_scan_quaternion(t, d + 1, following, True), t
+
+
+def test_quaternion_first_mode_t11_below_first_code():
+    # 2^30 below the first t = 11 code: many windows, the last with an accept
+    d = 228_694_750_035
+    want = (10_776_293, 10_745_011, 0, 0, 125_124)
+    for scan in (_scan_py.scan_quaternion, heap_scan_quaternion):
+        accepted, counters = scan(11, d - 2**30, 1 << 44, True)
+        assert [a[0] for a in accepted] == [d], scan
+        assert counters == want, scan
+
+
 def test_quaternion_power_survivors_match_signature_convolution():
     for t in (1, 3, 5, 7):
         _, ctr = _scan_py.scan_quaternion(t, 0, 1 << (4 * t))

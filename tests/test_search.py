@@ -10,7 +10,6 @@ from hfpc.search import (
     SearchTask,
     analytic_nonexistence,
     candidate_count,
-    dedup,
     reproduce_table,
     run_search,
 )
@@ -271,9 +270,8 @@ def test_pool_is_capped_at_chunks_and_cpus(monkeypatch):
 
 def test_dedup():
     res = run_search(SearchTask("2t4u", 4, mode="all"))
-    distinct = dedup(res.accepted)
-    assert len(distinct) == res.distinct_code_sets < len(res.accepted)
-    assert dedup([]) == []
+    assert len({a.vector_values for a in res.accepted}) == res.distinct_code_sets
+    assert res.distinct_code_sets < len(res.accepted)
     # complement generators produce the same code, so they collapse
     by_set = {}
     for acc in res.accepted:
