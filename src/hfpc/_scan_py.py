@@ -45,6 +45,11 @@ those of the full check alone.
   windows of doubling size and stops in the first window with an accept.
   The variants that pass go on to the b derivation, the relations and the
   rest of row 0 (wt(d^j + rot^j b) and wt(d^j + rot^j ab)).
+  A visited d's counters are those of every word in its rot4 orbit, so one
+  scan keeps a memo from each rejected orbit's least rotation to its
+  counters and runs the variants of one d per rejected orbit; every d of an
+  accepted orbit runs its own.  At t = 7 that is 1,564 of the 8,428 visited
+  survivors, at t = 11 55,320 of 595,320.
 
 In both scans the examined and power-rejected counts come from ranking the
 candidate stream, as if every candidate had been visited in ascending order.
@@ -488,8 +493,8 @@ def _quaternion_variants(
     a variant it stops fails row 0 of the pairwise Hadamard check and is
     counted as rejected there.  The others derive a and b, check the
     relations, the rest of row 0 (the weights of d^j * b and d^j * ab, one j
-    at a time with an exit at the first wrong one), then the full pairwise
-    Hadamard condition and the code-set dedup.
+    at a time with an exit at the first wrong one), then the code-set dedup
+    and the full pairwise Hadamard condition.
     Returns (accepted triples, rejected_no_b, rejected_relation,
     rejected_hadamard).
     """
@@ -576,20 +581,24 @@ def _quaternion_variants(
                 rqa = rot4(rqa)
                 rqb = rot4(rqb)
                 rqab = rot4(rqab)
-            if ok:
-                for i in range(n):
-                    ti = t_tab[i]
-                    for j in range(i + 1, n):
-                        if (ti ^ t_tab[j]).bit_count() != w:
-                            ok = False
-                            break
-                    if not ok:
-                        break
             if not ok:
                 rej_had += 1
                 continue
+            # the same rows up to complement have the same distances, so a
+            # code set seen before passed the full check and is skipped here
             sig = tuple(sorted(min(x, x ^ full) for x in t_tab))
             if sig in seen:
+                continue
+            for i in range(n):
+                ti = t_tab[i]
+                for j in range(i + 1, n):
+                    if (ti ^ t_tab[j]).bit_count() != w:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if not ok:
+                rej_had += 1
                 continue
             seen.add(sig)
             accepted.append((d, a, b))
@@ -598,7 +607,7 @@ def _quaternion_variants(
     return accepted, rej_nob, rej_rel, rej_had
 
 
-def _walk(tab: _QuaternionTables, lo: int, hi: int, first_only: bool):
+def _walk(tab: _QuaternionTables, lo: int, hi: int, first_only: bool, memo: dict[int, int]):
     """The accepted triples in [lo, hi), ascending, and (survivors,
     rejected_no_b, rejected_relation, rejected_hadamard).
 
@@ -608,8 +617,23 @@ def _walk(tab: _QuaternionTables, lo: int, hi: int, first_only: bool):
     stop at its first accept, which lowers hi to d + 1 and replaces the one
     triple kept: the walk ends with the least accepted d, but its counters
     are those of [lo, hi) only if it accepts nothing or d = hi - 1.
+
+    The counters of a visited d depend only on its rot4 orbit.  rot4 (pi_d)
+    commutes with pairswap, nibswap and itself, so it maps the (f1, f3)
+    solutions a, b for d to solutions rot4(a), rot4(b) for rot4(d) (b up to
+    its seed twin b + u, which fails or passes every test with b): the four
+    variants of rot4(d) are the rot4 images of those of d.  Every test a
+    variant meets compares weights or distances of words built from d, a
+    and b, and a coordinate permutation keeps those; so does a-weight,
+    which is row 0 of the pairwise check.  So the first rejected d of an
+    orbit files its counters in memo under the orbit's least rotation, packed
+    as nob | rel << 3 | had << 6, and the other members visited in this scan
+    add them without running their variants.  An orbit with an accept is
+    never filed: each accepted d runs its own variants and keeps its own
+    triples in (f1, f3) order.
     """
     t = tab.t
+    top = 4 * t - 4  # rot4 moves the low nibble here
     accepted: list[tuple[int, int, int]] = []
     survivors = rej_nob = rej_rel = rej_had = 0
     for lv, sig in tab.lefts(lo, hi):
@@ -630,14 +654,26 @@ def _walk(tab: _QuaternionTables, lo: int, hi: int, first_only: bool):
             start, end = bisect_left(bucket, rlo), bisect_left(bucket, hi - lv)
             count -= end - start
             for rv in bucket[start:end]:
-                acc, nob, rel, had = _quaternion_variants(lv + rv, t, allowed, first_only)
-                rej_nob += nob
-                rej_rel += rel
-                rej_had += had
-                if acc and first_only:
-                    accepted, hi = acc, lv + rv + 1
-                    break
-                accepted += acc
+                d = key = x = lv + rv
+                for _ in range(t - 1):
+                    x = (x >> 4) | ((x & 15) << top)
+                    if x < key:
+                        key = x
+                acc = None
+                packed = memo.get(key)
+                if packed is None:
+                    acc, nob, rel, had = _quaternion_variants(d, t, allowed, first_only)
+                    packed = nob | rel << 3 | had << 6
+                    if not acc:
+                        memo[key] = packed
+                rej_nob += packed & 7
+                rej_rel += (packed >> 3) & 7
+                rej_had += packed >> 6
+                if acc:
+                    if first_only:
+                        accepted, hi = acc, d + 1
+                        break
+                    accepted += acc
         rej_had += 4 * count
     # stable: the triples of one d keep their (f1, f3) order
     accepted.sort(key=itemgetter(0))
@@ -661,12 +697,13 @@ def scan_quaternion(
     size = 1 << (2 * t if first_only else 4 * t)
     start = lo
     totals = [0, 0, 0, 0]
+    memo: dict[int, int] = {}  # rot4 orbit -> packed counters of its rejected members
     while start < hi:
         end = min((start | (size - 1)) + 1, hi)
-        accepted, counts = _walk(tab, start, end, first_only)
+        accepted, counts = _walk(tab, start, end, first_only, memo)
         if accepted and first_only:
             hi = accepted[0][0] + 1  # counting stops at the first accepted candidate
-            accepted, counts = _walk(tab, start, hi, True)
+            accepted, counts = _walk(tab, start, hi, True, memo)
         totals = [x + y for x, y in zip(totals, counts)]
         start, size = end, size << 1
     survivors, rej_nob, rej_rel, rej_had = totals

@@ -53,7 +53,8 @@ _FAMILY_CODE = {"4tu2": 0, "2t22u": 1, "2t4u": 2}
 # just below the 300,546,630 candidates of the two-generator cells at t = 8, so
 # every cell of word length 32 and up needs --deep.  With the joins such cells
 # scan in seconds (2t4u t = 8 in under half a second), not hours; what grows
-# fast with t is the tqu scan: 24-29 s at t = 11, about 5 minutes at t = 13.
+# fast with t is the tqu scan: 12-15 s at t = 11 and 194 s at t = 13 (full
+# range, one process, 2 vCPU).
 DEEP_GATE = 1 << 28
 
 

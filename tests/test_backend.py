@@ -211,9 +211,9 @@ def _first_window(monkeypatch, t):
     walk = _scan_py._walk
     bounds = []
 
-    def logged(tab, lo, hi, first):
+    def logged(tab, lo, hi, first, *rest):
         bounds.append((lo, hi))
-        return walk(tab, lo, hi, first)
+        return walk(tab, lo, hi, first, *rest)
 
     with monkeypatch.context() as patch:
         patch.setattr(_scan_py, "_walk", logged)
@@ -296,3 +296,87 @@ def test_quaternion_b_derivation_and_relations_never_reject():
         assert got[1] == got[2] == 0, (t, d)
         # the same derivation and verdicts as the bit-by-bit full-table check
         assert got == full_check_quaternion_variants(d, t, (True, True), False), (t, d)
+
+
+def _rot4(d, t):
+    return (d >> 4) | ((d & 15) << (4 * t - 4))
+
+
+def _a_weight_flags(tab, d):
+    """The a-weight flags (f1 = f3, f1 != f3) of a stream word d, from its parts."""
+    al = tab.a_signature(d & ~tab.rmask)
+    ar = tab.a_signature(d & tab.rmask)
+    return ar == tab.full_a - al, ar == al
+
+
+def _visited_survivors(tab, lefts):
+    """The power survivors with a left part in lefts that the walk runs
+    variants on: those whose a-weight test lets some variant through."""
+    out = []
+    for lv, sig in lefts:
+        al = tab.a_signature(lv)
+        by_a = tab.rights_by_a_for(sig, 1 << (4 * tab.t))
+        for ar in {tab.full_a - al, al}:
+            out += [lv + rv for rv in by_a.get(ar, ())]
+    return out
+
+
+def _is_power_survivor(d, t):
+    """wt d^j = 2t for 0 < j < t, the powers built one rot4 at a time."""
+    cur = d
+    for _ in range(1, t):
+        if cur.bit_count() != 2 * t:
+            return False
+        cur = d ^ _rot4(cur, t)
+    return True
+
+
+def test_quaternion_variants_are_rot4_invariant():
+    # the walk's memo files a rejected d's counters under its rot4 orbit: the
+    # counters and the verdict must not change along the orbit, each word
+    # with its own a-weight flags
+    rng = random.Random(4711)
+    for t in (5, 7, 9):
+        tab = _scan_py._quaternion_tables(t)
+        lefts = list(tab.lefts(0, 1 << (4 * t)))
+        if t == 9:
+            words = _visited_survivors(tab, rng.sample(lefts, 60))
+        else:
+            words = _visited_survivors(tab, lefts)
+        accepts = 0
+        for d in words:
+            got = _scan_py._quaternion_variants(d, t, _a_weight_flags(tab, d), False)
+            r = _rot4(d, t)
+            img = _scan_py._quaternion_variants(r, t, _a_weight_flags(tab, r), False)
+            assert got[1:] == img[1:] and bool(got[0]) == bool(img[0]), (t, d)
+            accepts += bool(got[0])
+        assert accepts and accepts < len(words), t
+    # the only short orbits at t = 9 are the words made of one 12-bit block
+    # three times; none is a power survivor, so every visited orbit has 9 words
+    strands = [int(m * 9, 2) for m in ("1000", "0100", "0010", "0001")]
+    blocks = [w * (1 + (1 << 12) + (1 << 24)) for w in range(1 << 12)]
+    stream = [
+        d
+        for d in blocks
+        if d.bit_count() == 18 and all((d & m).bit_count() % 2 == 0 for m in strands)
+    ]
+    assert len(stream) == 108 and not any(_is_power_survivor(d, 9) for d in stream)
+
+
+def test_quaternion_walk_runs_variants_once_per_rejected_orbit(monkeypatch):
+    # the full t = 7 scan visits 8,428 survivors in 1,204 rot4 orbits; with
+    # the orbit memo 1,564 of them run their variants: the 420 accepted d
+    # (the 60 accepted orbits, two triples each) and one d of each of the
+    # 1,144 rejected orbits
+    calls = []
+    variants = _scan_py._quaternion_variants
+
+    def counted(d, *rest):
+        calls.append(d)
+        return variants(d, *rest)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_scan_py, "_quaternion_variants", counted)
+        accepted, _ = _scan_py.scan_quaternion(7, 0, 1 << 28)
+    assert len(accepted) == 840
+    assert len(calls) == len(set(calls)) == 1_564
