@@ -13,8 +13,9 @@ halves of a word independently, so the power a^j is (S_j(hi), S_j(lo)) with
 S_1(x) = x and S_j(x) = x + rotr(S_{j-1}(x)), and a word passes the power
 filter exactly when wt S_j(hi) + wt S_j(lo) = 2t for every j < 2t.  The
 survivors are therefore the pairs of halves whose weight signatures
-(wt S_1, ..., wt S_{2t-1}) are complementary; they are enumerated directly
-and only they reach the Hadamard filter.
+(wt S_1, ..., wt S_{2t-1}) are complementary.  A scan walks the high halves
+(tops) in range, counts their survivors by bisection, and runs the Hadamard
+filter once per necklace of tops: for 4tu2 at t = 6, 1,248 times, not 14,976.
 
 The quaternion scan is a join on strands.  pi_d (rot4) rotates each of the
 four strands of d (the bits at positions = r mod 4) independently, so
@@ -67,9 +68,7 @@ __all__ = ["scan_two_generator", "scan_quaternion"]
 
 _FIELD = 6  # bits per weight in a packed signature; weights are at most 2t < 64
 
-# half-word length -> (half-words with a power-filter partner, ascending;
-# the sorted partners of each), built on first use for that length
-_JOIN_TABLES: dict[int, tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = {}
+_JOIN_TABLES: dict[int, tuple] = {}  # h -> _join_table(h), built on first use
 
 
 def _signature(x: int, h: int) -> int:
@@ -103,8 +102,9 @@ def _necklaces(h: int):
             yield word
 
 
-def _join_table(h: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Every h-bit half-word that has a partner, with its partners ascending.
+def _join_table(h: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Every h-bit half-word (top) that has a partner, ascending, with its
+    partners ascending and a turn k that takes it to its necklace rotr^k(top).
 
     S_j commutes with rotation, so all rotations of a half-word share its
     signature: one signature per necklace suffices to build the table.
@@ -116,21 +116,18 @@ def _join_table(h: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
         for rep in _necklaces(h):
             by_sig.setdefault(_signature(rep, h), []).append(rep)
 
-        def rotations(reps: list[int]) -> list[int]:
-            return sorted({((r >> k) | (r << (h - k))) & mask for r in reps for k in range(h)})
+        def rotations(reps: list[int]) -> dict[int, int]:
+            return {((r << k) | (r >> (h - k))) & mask: k for r in reps for k in range(h)}
 
         full = sum(h << (_FIELD * j) for j in range(h - 1))
-        pairs = []
+        rows = []
         for sig, reps in by_sig.items():
             partners = by_sig.get(full - sig)
             if partners:
-                lows = tuple(rotations(partners))
-                pairs.extend((top, lows) for top in rotations(reps))
-        pairs.sort()
-        table = _JOIN_TABLES[h] = (
-            tuple(top for top, _ in pairs),
-            tuple(lows for _, lows in pairs),
-        )
+                lows = tuple(sorted(rotations(partners)))
+                rows.extend((top, lows, k) for top, k in rotations(reps).items())
+        rows.sort()
+        table = _JOIN_TABLES[h] = tuple(tuple(map(itemgetter(i), rows)) for i in range(3))
     return table
 
 
@@ -161,24 +158,6 @@ def _rank(x: int, h: int, need_odd: int) -> int:
     if (k & 1) == need_odd:
         count += _count_below(x & ((1 << h) - 1), h, h - k)
     return count
-
-
-def _power_survivors(h: int, need_odd: int, lo: int, hi: int):
-    """Stream candidates in [lo, hi) that pass the power filter, ascending."""
-    tops, partners = _join_table(h)
-    for idx in range(bisect_left(tops, lo >> h), len(tops)):
-        top = tops[idx]
-        base = top << h
-        if base >= hi:
-            return
-        if (top.bit_count() & 1) != need_odd:
-            continue
-        for low in partners[idx]:
-            a = base | low
-            if a >= hi:
-                return
-            if a >= lo:
-                yield a
 
 
 def _is_hadamard(a: int, h: int, b_compl: bool) -> bool:
@@ -228,6 +207,14 @@ def _is_hadamard(a: int, h: int, b_compl: bool) -> bool:
 def scan_two_generator(
     family: int, t: int, lo: int, hi: int, first_only: bool = False
 ) -> tuple[list[int], tuple[int, int, int]]:
+    """One walk over the tops in range, for both modes and any subrange: a
+    top's survivors in range are counted by bisection in its partners, and
+    its accepted lows are those of its necklace N = rotr^k(top) rotated back
+    by rotl^k; cache maps N to its passing partners.  a and pi_a(a) pass
+    together: pi_a maps the powers of a to those of pi_a(a), and b to pi_a(b)
+    or its complement; permuting coordinates keeps distances, and the
+    complement turns a distance d from a power into 4t - d, 2t when d is.
+    """
     h = 2 * t
     need_odd = 1 if family == 0 else 0
     b_compl = family == 2
@@ -235,19 +222,32 @@ def scan_two_generator(
     hi = min(hi, 1 << (2 * h))
     if lo >= hi:
         return [], (0, 0, 0)
+    tops, partners, turns = _join_table(h)
+    mask = (1 << h) - 1
+    cache: dict[int, tuple[int, ...]] = {}
     accepted: list[int] = []
     survivors = 0
-    for a in _power_survivors(h, need_odd, lo, hi):
-        survivors += 1
-        if _is_hadamard(a, h, b_compl):
-            accepted.append(a)
-            if first_only:
-                hi = a + 1  # counting stops at the first accepted candidate
-                break
+    for idx in range(bisect_left(tops, lo >> h), len(tops)):
+        top, lows, k = tops[idx], partners[idx], turns[idx]
+        base = top << h
+        if base >= hi:
+            break
+        if (top.bit_count() & 1) != need_odd:
+            continue
+        rlo, rhi = lo - base, hi - base
+        neck = ((top >> k) | (top << (h - k))) & mask
+        good = cache.get(neck)
+        if good is None:
+            good = cache[neck] = tuple(x for x in lows if _is_hadamard(neck << h | x, h, b_compl))
+        mine = sorted(((low << k) | (low >> (h - k))) & mask for low in good)
+        mine = mine[bisect_left(mine, rlo) : bisect_left(mine, rhi)]
+        if mine and first_only:
+            mine, rhi = mine[:1], mine[0] + 1
+            hi = base + rhi  # counting stops at the first accepted candidate
+        accepted += [base | low for low in mine]
+        survivors += bisect_left(lows, rhi) - bisect_left(lows, rlo)
     examined = _rank(hi, h, need_odd) - _rank(lo, h, need_odd)
     return accepted, (examined, examined - survivors, survivors - len(accepted))
-
-
 
 
 # Quaternion family.  Bit position p of a 4t-bit word lies on strand p mod 4;

@@ -5,10 +5,10 @@ results table.
 The raw candidate space for (family, t) is the integer interval [0, 2^4t) in
 the BitVector layout; the candidate stream is its ascending subset of
 plausible generators (weight 2t plus the cheap order filters).  A search is
-one pass: one worker scans the whole space in one kernel call, and a process
-pool of N workers splits it into N contiguous subranges, one per worker, whose
-results are merged in range order, so results are identical for any worker
-count.  Accepted candidates are re-assembled through the reference
+one pass: one worker scans the whole space in one kernel call, and in mode
+"all" a process pool of N workers splits it into N contiguous subranges, one
+per worker, whose results are merged in range order, so results are
+identical for any worker count.  Mode "first" always scans in one call.  Accepted candidates are re-assembled through the reference
 constructors in hfpc.families before being reported, which cross-checks the
 scan kernels; re-assembly and profiling work on int words, and the Hadamard
 verdict of each re-assembled code is computed once, by the constructor, and
@@ -52,9 +52,10 @@ _FAMILY_CODE = {"4tu2": 0, "2t22u": 1, "2t4u": 2}
 # Cells with more candidates than this require the deep flag.  The gate sits
 # just below the 300,546,630 candidates of the two-generator cells at t = 8, so
 # every cell of word length 32 and up needs --deep.  With the joins such cells
-# scan in seconds (2t4u t = 8 in under half a second), not hours; what grows
-# fast with t is the tqu scan: 12-15 s at t = 11 and 194 s at t = 13 (full
-# range, one process, 2 vCPU).
+# scan in seconds, not hours: a two-generator scan checks one top per necklace,
+# so 2t4u t = 8 scans in 0.01-0.02 s and 4tu2 t = 10 in 0.12-0.17 s after a
+# 0.3-0.5 s join table; what grows fast with t is the tqu scan: 12-15 s at
+# t = 11 and 194 s at t = 13 (full range, one process, 2 vCPU).
 DEEP_GATE = 1 << 28
 
 
@@ -171,8 +172,9 @@ def run_search(task: SearchTask, workers: int = 1) -> SearchResult:
     """Scan the candidate space; accepted candidates are re-assembled and profiled.
 
     Output (accepted order, counters) is independent of the worker count: in
-    mode "all" counters are sums over an exact partition, and in mode "first"
-    counting stops at the first accepted candidate in stream order.
+    mode "all" counters are sums over an exact partition, and mode "first"
+    scans serially and stops counting at the first accepted candidate in
+    stream order.
     """
     if task.family not in SEARCH_TAGS:
         raise ValueError("unknown family %r" % task.family)
@@ -185,9 +187,11 @@ def run_search(task: SearchTask, workers: int = 1) -> SearchResult:
     )
     first_only = task.mode == "first"
 
+    # first mode scans in one chunk: in a pool every chunk would run to its
+    # own first code, and all but the first chunk's would be thrown away
     chunk_args = [
         (task.family, task.t, lo, hi, first_only)
-        for lo, hi in _partition(0, 1 << (4 * task.t), workers)
+        for lo, hi in _partition(0, 1 << (4 * task.t), 1 if first_only else workers)
     ]
     counters = Counter()
     accepted_raw: list = []
@@ -195,8 +199,6 @@ def run_search(task: SearchTask, workers: int = 1) -> SearchResult:
         for name, val in zip(counter_names, ctr):
             counters[name] += val
         accepted_raw.extend(acc)
-        if first_only and acc:
-            break
 
     accepted: list[AcceptedCode] = []
     profile_cache: dict[frozenset[int], CodeProfile] = {}

@@ -804,6 +804,55 @@ def gosper_scan_two_generator(
     return accepted, (examined, rej_pow, rej_had)
 
 
+def _power_survivors(h: int, need_odd: int, lo: int, hi: int):
+    """Stream candidates in [lo, hi) that pass the power filter, ascending,
+    read one at a time from the kernel's join table."""
+    tops, partners, _ = _scan_py._join_table(h)
+    for idx in range(bisect_left(tops, lo >> h), len(tops)):
+        top = tops[idx]
+        base = top << h
+        if base >= hi:
+            return
+        if (top.bit_count() & 1) != need_odd:
+            continue
+        for low in partners[idx]:
+            a = base | low
+            if a >= hi:
+                return
+            if a >= lo:
+                yield a
+
+
+def survivor_scan_two_generator(
+    family: int, t: int, lo: int, hi: int, first_only: bool = False
+) -> tuple[list[int], tuple[int, int, int]]:
+    """The two-generator scan as one pass over every power survivor.
+
+    This was the kernel before it counted survivors by bisection and checked
+    one top per necklace; it stays as an oracle for both.  Same signature,
+    counters and accepted order as hfpc._scan_py.scan_two_generator; every
+    survivor in range, in ascending order, meets the kernel's _is_hadamard.
+    """
+    h = 2 * t
+    need_odd = 1 if family == 0 else 0
+    b_compl = family == 2
+    lo = max(lo, 0)
+    hi = min(hi, 1 << (2 * h))
+    if lo >= hi:
+        return [], (0, 0, 0)
+    accepted: list[int] = []
+    survivors = 0
+    for a in _power_survivors(h, need_odd, lo, hi):
+        survivors += 1
+        if _scan_py._is_hadamard(a, h, b_compl):
+            accepted.append(a)
+            if first_only:
+                hi = a + 1  # counting stops at the first accepted candidate
+                break
+    examined = _scan_py._rank(hi, h, need_odd) - _scan_py._rank(lo, h, need_odd)
+    return accepted, (examined, examined - survivors, survivors - len(accepted))
+
+
 def gosper_scan_quaternion(
     t: int, lo: int, hi: int, first_only: bool = False
 ) -> tuple[list[tuple[int, int, int]], tuple[int, int, int, int, int]]:

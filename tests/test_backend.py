@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from functools import cache
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from hfpc import _scan_py
 from hfpc.search import _partition, candidate_count
 from helpers import (
+    _power_survivors,
     _weight_range,
     all_weight_w,
     candidate_stream,
@@ -19,6 +21,7 @@ from helpers import (
     heap_scan_quaternion,
     least_geq_with_weight,
     quaternion_power_survivor_count,
+    survivor_scan_two_generator,
 )
 
 
@@ -71,7 +74,7 @@ def test_join_matches_gosper_scan_around_t10_survivors():
     # the empty t = 10 cells rest on more than the join: seeded subranges
     # around seeded power survivors of 4tu2 and 2t4u, against the full scan
     rng = random.Random(10)
-    tops, partners = _scan_py._join_table(20)
+    tops, partners, _ = _scan_py._join_table(20)
     for fam, need_odd in ((0, 1), (2, 0)):
         idxs = [i for i, top in enumerate(tops) if top.bit_count() & 1 == need_odd]
         survivors = 0
@@ -84,6 +87,137 @@ def test_join_matches_gosper_scan_around_t10_survivors():
                 assert got == gosper_scan_two_generator(fam, 10, lo, hi, first), (fam, lo, hi)
             survivors += got[1][2]
         assert survivors >= 8, fam
+
+
+@cache
+def _survivor_scan(fam, t, lo, hi, first):
+    return survivor_scan_two_generator(fam, t, lo, hi, first)
+
+
+def test_join_matches_survivor_scan_on_full_ranges():
+    # one Hadamard check per necklace and counting by bisection, against one
+    # check per power survivor
+    for t in (5, 6, 8):
+        span = 1 << (4 * t)
+        for fam in (0, 1, 2):
+            for first in (False, True):
+                assert _scan_py.scan_two_generator(fam, t, 0, span, first) == (
+                    _survivor_scan(fam, t, 0, span, first)
+                ), (fam, t, first)
+
+
+def test_join_matches_survivor_scan_on_pool_chunks():
+    # each chunk of the search layer's partition for 2 and 3 workers, and
+    # both modes on windows across each chunk edge
+    for t in (6, 8):
+        span = 1 << (4 * t)
+        for workers in (2, 3):
+            chunks = _partition(0, span, workers)
+            for fam in (0, 1, 2):
+                merged, counters = [], [0, 0, 0]
+                for lo, hi in chunks:
+                    got = _scan_py.scan_two_generator(fam, t, lo, hi)
+                    if t == 6:
+                        assert got == _survivor_scan(fam, t, lo, hi, False), (fam, lo, hi)
+                    merged += got[0]
+                    counters = [x + y for x, y in zip(counters, got[1])]
+                assert (merged, tuple(counters)) == _survivor_scan(fam, t, 0, span, False)
+                width = 1 << (3 * t + 2)  # hundreds of survivors on each side at t = 8
+                for _, edge in chunks[:-1]:
+                    for lo, hi in ((edge - width, edge + 1), (edge, edge + width)):
+                        for first in (False, True):
+                            assert _scan_py.scan_two_generator(fam, t, lo, hi, first) == (
+                                _survivor_scan(fam, t, lo, hi, first)
+                            ), (fam, t, lo, hi, first)
+
+
+def test_join_matches_survivor_scan_inside_partner_lists():
+    # seeded ranges whose ends fall between the partners of one top, or of two
+    # nearby tops; for 2t4u at t = 8 also around accepted words
+    rng = random.Random(1717)
+    accepted_t8 = _survivor_scan(2, 8, 0, 1 << 32, False)[0]
+    for t in (4, 6, 8, 10):
+        h = 2 * t
+        tops, partners, _ = _scan_py._join_table(h)
+        for fam in (0, 1, 2):
+            idxs = [i for i, top in enumerate(tops) if top.bit_count() & 1 == (fam == 0)]
+            if not idxs:
+                continue  # no even top has a partner at t = 6
+            picks = [rng.randrange(len(idxs)) for _ in range(12)]
+            if fam == 2 and t == 8:
+                picks += [idxs.index(tops.index(a >> h)) for a in rng.sample(accepted_t8, 6)]
+            for p in picks:
+                q = min(p + rng.randrange(3), len(idxs) - 1)
+                ends = []
+                for k in (p, q):
+                    i = idxs[k]
+                    ends.append((tops[i] << h) | rng.choice(partners[i]))
+                lo, hi = min(ends) - rng.randrange(2), max(ends) + rng.randrange(2)
+                for first in (False, True):
+                    assert _scan_py.scan_two_generator(fam, t, lo, hi, first) == (
+                        survivor_scan_two_generator(fam, t, lo, hi, first)
+                    ), (fam, t, lo, hi, first)
+
+
+def test_join_first_mode_around_accepted_words():
+    # lo just below, at and just above an accepted 2t4u t = 8 word
+    accepted = _survivor_scan(2, 8, 0, 1 << 32, False)[0]
+    assert len(accepted) == 1536
+    for k in (0, 1, 700, 1535):
+        a = accepted[k]
+        for lo in (a - 1, a, a + 1):
+            got = _scan_py.scan_two_generator(2, 8, lo, 1 << 32, True)
+            assert got == survivor_scan_two_generator(2, 8, lo, 1 << 32, True), (a, lo)
+            assert got[0] == ([a] if lo <= a else accepted[k + 1 : k + 2]), (a, lo)
+
+
+def _pi_a(a, h):
+    """Both h-bit halves of a rotated right by one."""
+    mh = (1 << h) - 1
+    hi, lo = a >> h, a & mh
+    return (((hi >> 1) | ((hi & 1) << (h - 1))) << h) | (lo >> 1) | ((lo & 1) << (h - 1))
+
+
+def test_two_generator_verdict_is_pi_a_invariant():
+    # the kernel checks one top per necklace and rotates the verdicts to the
+    # rest: a and pi_a(a) must pass or fail together, in every family
+    rng = random.Random(1017)
+    for fam in (0, 1, 2):
+        need_odd = 1 if fam == 0 else 0
+        passed = 0
+        for t in (1, 2, 3, 4, 5, 6, 8, 10):
+            h = 2 * t
+            if t <= 6:
+                words = list(_power_survivors(h, need_odd, 0, 1 << (2 * h)))
+            else:
+                # 20,000 seeded power survivors, uniform with replacement
+                tops, partners, _ = _scan_py._join_table(h)
+                idxs = [i for i, top in enumerate(tops) if top.bit_count() & 1 == need_odd]
+                weights = [len(partners[i]) for i in idxs]
+                words = [
+                    (tops[i] << h) | rng.choice(partners[i])
+                    for i in rng.choices(idxs, weights, k=20000)
+                ]
+            for a in words:
+                verdict = _scan_py._is_hadamard(a, h, fam == 2)
+                assert _scan_py._is_hadamard(_pi_a(a, h), h, fam == 2) == verdict, (
+                    "family %d lacks the pi_a symmetry at t = %d, a = %d" % (fam, t, a)
+                )
+                passed += verdict
+        assert passed, fam
+    # each table turn takes its top to the top's least rotation.  The only
+    # periodic tops with a partner for h <= 16 are 00 and 11 at t = 1, where
+    # any turn gives the same verdicts; the full t = 1 scans check them
+    for h in range(2, 17, 2):
+        mask = (1 << h) - 1
+        tops, _, turns = _scan_py._join_table(h)
+        periodic = []
+        for top, k in zip(tops, turns):
+            rots = [((top >> j) | (top << (h - j))) & mask for j in range(h)]
+            assert rots[k] == min(rots), (h, top)
+            if len(set(rots)) < h:
+                periodic.append(top)
+        assert periodic == ([0b00, 0b11] if h == 2 else []), h
 
 
 def test_necklaces_are_the_minimal_rotations():
@@ -100,7 +234,7 @@ def test_row0_filter_matches_full_table_oracle():
     for t in (1, 2, 3, 4, 5, 6, 8):
         h = 2 * t
         for fam in (0, 1, 2):
-            survivors = list(_scan_py._power_survivors(h, 1 if fam == 0 else 0, 0, 1 << (2 * h)))
+            survivors = list(_power_survivors(h, 1 if fam == 0 else 0, 0, 1 << (2 * h)))
             if t == 8:
                 assert len(survivors) > 20000
                 survivors = rng.sample(survivors, 20000)

@@ -349,3 +349,33 @@ def test_stream_rejects_bad_tags():
         candidate_count("nope", 1)
     with pytest.raises(ValueError):
         run_search(SearchTask("tqu", 2, mode="all"))
+
+
+def test_first_mode_scans_in_one_call_for_any_worker_count(monkeypatch):
+    import concurrent.futures
+
+    import hfpc._backend as backend
+
+    calls = []
+
+    def recording(kernel):
+        def wrapped(*args):
+            calls.append(args[-3:-1])  # (lo, hi) of the call
+            return kernel(*args)
+        return wrapped
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("first mode started a process pool")
+
+    for name in ("scan_two_generator", "scan_quaternion"):
+        monkeypatch.setattr(backend, name, recording(getattr(backend, name)))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    for task in (SearchTask("2t4u", 4, mode="first"), SearchTask("tqu", 5, mode="first")):
+        want = None
+        for workers in (1, 2, 3):
+            calls.clear()
+            res = run_search(task, workers=workers)
+            assert calls == [(0, 1 << (4 * task.t))], (task, workers)
+            got = ([a.candidate for a in res.accepted], res.counters)
+            assert len(got[0]) == 1 and got == (want or got), (task, workers)
+            want = got
