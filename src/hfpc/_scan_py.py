@@ -11,11 +11,15 @@ Counter tuples:
 The two-generator scan is a join on half-words.  pi_a rotates the two 2t-bit
 halves of a word independently, so the power a^j is (S_j(hi), S_j(lo)) with
 S_1(x) = x and S_j(x) = x + rotr(S_{j-1}(x)), and a word passes the power
-filter exactly when wt S_j(hi) + wt S_j(lo) = 2t for every j < 2t.  The
-survivors are therefore the pairs of halves whose weight signatures
-(wt S_1, ..., wt S_{2t-1}) are complementary.  A scan walks the high halves
-(tops) in range, counts their survivors by bisection, and runs the Hadamard
-filter once per necklace of tops: for 4tu2 at t = 6, 1,248 times, not 14,976.
+filter exactly when wt S_j(hi) + wt S_j(lo) = 2t for every j < 2t.  By the
+mirror identity fields j <= t decide: S_2t(x) is 0 or all ones by the parity
+of wt x and S_{2t-j} = S_2t + rot^{2t-j} S_j, so wt S_{2t-j}(x) is wt S_j(x)
+for even wt x and 2t - wt S_j(x) for odd, and the halves of a survivor weigh
+w and 2t - w, of one parity.  The survivors are therefore the pairs of
+halves whose signatures (wt S_1, ..., wt S_t), computed for all necklaces
+at once, are complementary.  A scan walks the high halves (tops) in range,
+counts their survivors by bisection, and runs the Hadamard filter once per
+necklace of tops: for 4tu2 at t = 6, 1,248 times, not 14,976.
 
 The quaternion scan is a join on strands.  pi_d (rot4) rotates each of the
 four strands of d (the bits at positions = r mod 4) independently, so
@@ -60,8 +64,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
+from itertools import compress, islice
 from math import comb
 from operator import itemgetter
+from sys import byteorder
 
 __all__ = ["scan_two_generator", "scan_quaternion"]
 
@@ -71,34 +77,55 @@ _FIELD = 6  # bits per weight in a packed signature; weights are at most 2t < 64
 _JOIN_TABLES: dict[int, tuple] = {}  # h -> _join_table(h), built on first use
 
 
-def _signature(x: int, h: int) -> int:
-    """wt S_1(x) .. wt S_{h-1}(x) of an h-bit half-word, packed, S_1 lowest."""
-    sig = 0
-    cur = x
-    for j in range(h - 1):
-        sig |= cur.bit_count() << (_FIELD * j)
-        cur = x ^ ((cur >> 1) | ((cur & 1) << (h - 1)))
-    return sig
+def _signatures(words, h: int, fields: int, width: int):
+    """The h-bit words of an iterator and their signatures wt S_1 .. wt
+    S_fields (width bits each, S_1 lowest), as two sequences: computed on a
+    block of words in the slots of one int, by rotate, xor and SWAR popcount."""
+    size = -(-max(h, width * fields) // 64) * 8  # bytes per slot
+    out_words, out_keys = bytearray(), bytearray()
+    while block := b"".join(w.to_bytes(size, byteorder) for w in islice(words, 1 << 14)):
+        ones = (1 << (8 * len(block))) - 1
+        rep = ones // ((1 << (8 * size)) - 1)  # 1 in every slot
+        m1, m2, m4 = ones // 3, ones // 5, ones // 17  # 0x55.., 0x33.., 0x0f..
+        low, count = rep * ((1 << (h - 1)) - 1), rep * 255
+        x = cur = int.from_bytes(block, byteorder)
+        key = 0
+        for j in range(fields):
+            v = cur - ((cur >> 1) & m1)
+            v = (v & m2) + ((v >> 2) & m2)
+            v = (v + (v >> 4)) & m4
+            # the product sums each slot's bytes into its top byte
+            key |= ((v * ((1 << 8 * size) // 255) >> (8 * size - 8)) & count) << (width * j)
+            cur = x ^ ((cur >> 1) & low | (cur & rep) << (h - 1))
+        out_words += block
+        out_keys += key.to_bytes(len(block), byteorder)
+    if size == 8:  # slots in native byte order, as cast("Q") reads them
+        return memoryview(out_words).cast("Q"), memoryview(out_keys).cast("Q")
+    return tuple(  # slots wider than 64 bits
+        [int.from_bytes(b[i : i + size], byteorder) for i in range(0, len(b), size)]
+        for b in (out_words, out_keys)
+    )
 
 
 def _necklaces(h: int):
     """Smallest rotation of each h-bit word, ascending (Fredricksen-Kessler-Maiorana).
 
     Each step sets the last 0 digit of the previous word to 1 and repeats
-    the prefix ending there, of length i, to h digits; the word is a
-    necklace when i divides h.
+    the prefix ending there, of length i, to h digits (a product and a shift
+    looked up by h - i); the word is a necklace when i divides h.
     """
+    steps = [
+        (((1 << (i * (h // i + 1))) - 1) // ((1 << i) - 1), i * (h // i + 1) - h, h % i == 0)
+        for i in range(h, 0, -1)
+    ]
     word = 0
     yield word
     full = (1 << h) - 1
     while word != full:
         ones = (~word & (word + 1)).bit_length() - 1  # trailing 1 digits
-        i = h - ones
-        reps = -(-h // i)
-        word = ((word >> ones | 1) * (((1 << (i * reps)) - 1) // ((1 << i) - 1))) >> (
-            i * reps - h
-        )
-        if h % i == 0:
+        repeat, shift, necklace = steps[ones]
+        word = ((word >> ones | 1) * repeat) >> shift
+        if necklace:
             yield word
 
 
@@ -112,22 +139,22 @@ def _join_table(h: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], t
     table = _JOIN_TABLES.get(h)
     if table is None:
         mask = (1 << h) - 1
-        by_sig: dict[int, list[int]] = {}
-        for rep in _necklaces(h):
-            by_sig.setdefault(_signature(rep, h), []).append(rep)
-
-        def rotations(reps: list[int]) -> dict[int, int]:
-            return {((r << k) | (r >> (h - k))) & mask: k for r in reps for k in range(h)}
-
-        full = sum(h << (_FIELD * j) for j in range(h - 1))
-        rows = []
-        for sig, reps in by_sig.items():
-            partners = by_sig.get(full - sig)
-            if partners:
-                lows = tuple(sorted(rotations(partners)))
-                rows.extend((top, lows, k) for top, k in rotations(reps).items())
-        rows.sort()
-        table = _JOIN_TABLES[h] = tuple(tuple(map(itemgetter(i), rows)) for i in range(3))
+        width = h.bit_length()
+        full = sum(h << (width * j) for j in range(h // 2))
+        necks, keys = _signatures(_necklaces(h), h, h // 2, width)
+        present = set(keys)
+        joined = {k for k in present if full - k in present}
+        rots: dict[int, dict[int, int]] = {}  # signature -> {top: turn}
+        for key, r in compress(zip(keys, necks), map(joined.__contains__, keys)):
+            rots.setdefault(key, {}).update({(r << k | r >> (h - k)) & mask: k for k in range(h)})
+        turn: dict[int, int] = {}
+        lows: dict[int, tuple[int, ...]] = {}  # top -> its class's partners
+        for key, rot in rots.items():
+            turn.update(rot)
+            lows.update(dict.fromkeys(rot, tuple(sorted(rots[full - key]))))
+        tops = tuple(sorted(turn))
+        partners = tuple(map(lows.__getitem__, tops))
+        table = _JOIN_TABLES[h] = (tops, partners, tuple(map(turn.__getitem__, tops)))
     return table
 
 
@@ -292,14 +319,6 @@ def _quaternion_rank(x: int, t: int) -> int:
     return count
 
 
-def _gather(x: int, k: int, stride: int) -> int:
-    """Bits 0, stride, 2 stride, ... of x, k of them, as a k-bit word."""
-    s = 0
-    for i in range(k):
-        s |= ((x >> (stride * i)) & 1) << i
-    return s
-
-
 def _parities(x: int, y: int) -> int:
     return (x.bit_count() & 1) << 1 | (y.bit_count() & 1)
 
@@ -307,11 +326,12 @@ def _parities(x: int, y: int) -> int:
 class _QuaternionTables:
     """Strand signatures and join tables for one t, filled in on first use.
 
-    Only even-weight strands occur in the stream.  A pair signature (one part)
-    is the sum of its two strands' signatures; a word passes the power filter
-    exactly when its left and right pair signatures add up to 2t in every
-    field.  A part's field is at most 2t, so for t < 16 two parts add up
-    without a carry between fields.
+    Only even-weight strands occur in the stream, so wt S_{t-j} = wt S_j on
+    them (the mirror identity) and fields 1 .. t // 2 decide; a t = 1 strand
+    s has one field, wt S_1 = s.  A pair signature (one part) is the sum of
+    its two strands' signatures; a word passes the power filter exactly when
+    its left and right pair signatures add up to 2t in every field.  A part's
+    field is at most 2t, so for t < 16 two parts add up without a carry.
     """
 
     def __init__(self, t: int):
@@ -319,15 +339,17 @@ class _QuaternionTables:
         self.mask = (1 << t) - 1
         self.rmask = int("0011" * t, 2)
         self.s3 = int("1000" * t, 2)  # strand 3; strand r is s3 >> (3 - r)
-        self.spread = [sum(((s >> k) & 1) << (4 * k) for k in range(t)) for s in range(1 << t)]
-        self.unspread = {x: s for s, x in enumerate(self.spread)}  # strand 0 -> t bits
-        # S_1 = s is the only power of a t = 1 strand; its weight field is s
-        self.sig = [_signature(s, t) if t > 1 else s for s in range(1 << t)]
+        sp = self.spread = [0] * (1 << t)  # bit k of s -> bit 4k
+        for s in range(1, 1 << t):
+            sp[s] = sp[s >> 1] << 4 | s & 1
+        self.unspread = {x: s for s, x in enumerate(sp)}  # strand 0 -> t bits
+        fields = max(t // 2, 1)
+        self.sig = list(_signatures(iter(range(1 << t)), t, fields, _FIELD)[1])
         self.classes: dict[int, list[int]] = {}
         for s in range(1 << t):
             if not s.bit_count() & 1:
                 self.classes.setdefault(self.sig[s], []).append(s)
-        self.full = sum(2 * t << (_FIELD * j) for j in range(max(t - 1, 1)))
+        self.full = sum(2 * t << (_FIELD * j) for j in range(fields))
         self.full_a = sum(2 * t << (_FIELD * j) for j in range(t - 1))
         self.rights: dict[int, tuple[int, ...]] = {}  # left pair signature -> right parts
         # left pair signature -> ({a-weight signature: those right parts,
@@ -339,22 +361,20 @@ class _QuaternionTables:
         # splits into tl low digits and t - tl high digits; the low digits are
         # also grouped by the strand parities they add, ascending.
         tl = self.tl = t // 2
+        g = [0] * (1 << (2 * (t - tl)))  # the even bits of m, gathered
+        for m in range(1, len(g)):
+            g[m] = g[m >> 2] << 1 | m & 1
         self.low_values: list[int] = []
         self.low_by_parity: list[list[tuple[int, int, int, int]]] = [[], [], [], []]
         for ml in range(1 << (2 * tl)):
-            s3, s2 = _gather(ml >> 1, tl, 2), _gather(ml, tl, 2)
-            lv = self._left_value(s3, s2)
+            s3, s2 = g[ml >> 1], g[ml]
+            lv = sp[s3] << 3 | sp[s2] << 2
             self.low_values.append(lv)
             self.low_by_parity[_parities(s3, s2)].append((ml, s3, s2, lv))
         self.high: list[tuple[int, int, int, int]] = []
-        for mh in range(1 << (2 * (t - tl))):
-            s3 = _gather(mh >> 1, t - tl, 2) << tl
-            s2 = _gather(mh, t - tl, 2) << tl
-            self.high.append((s3, s2, self._left_value(s3, s2), _parities(s3, s2)))
-
-    def _left_value(self, s3: int, s2: int) -> int:
-        sp = self.spread
-        return (sp[s3] << 3) | (sp[s2] << 2)
+        for mh in range(len(g)):
+            s3, s2 = g[mh >> 1] << tl, g[mh] << tl
+            self.high.append((s3, s2, sp[s3] << 3 | sp[s2] << 2, _parities(s3, s2)))
 
     def rights_for(self, sig: int) -> tuple[int, ...]:
         """Right parts, ascending, whose pair signature complements sig."""

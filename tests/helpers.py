@@ -8,9 +8,11 @@ whole 2^4t space, the candidate stream and the two-generator and
 quaternion scans by visiting every candidate with Gosper's hack, the scans'
 Hadamard filters by checking every pair of table words, the Hadamard matrix
 check by integer sums of products, the tqu power-survivor count by a
-convolution over strand weight signatures, with no join, the byte-table
-action perms.act by a loop over set bits, and the int-word family
-constructors by the BitVector builder they replaced.
+convolution over strand weight signatures, with no join, the two-generator
+join table from every signature field of one necklace at a time, the tqu
+left-part tables one bit at a time, the byte-table action perms.act by a
+loop over set bits, and the int-word family constructors by the BitVector
+builder they replaced.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from collections import Counter
 from heapq import heappop, heappush, heapreplace
 from itertools import combinations
 from math import lcm
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from hfpc import _scan_py
@@ -802,6 +805,74 @@ def gosper_scan_two_generator(
         if first_only:
             break
     return accepted, (examined, rej_pow, rej_had)
+
+
+def _signature(x: int, h: int) -> int:
+    """wt S_1(x) .. wt S_{h-1}(x) of an h-bit half-word, packed, S_1 lowest."""
+    sig = 0
+    cur = x
+    for j in range(h - 1):
+        sig |= cur.bit_count() << (_scan_py._FIELD * j)
+        cur = x ^ ((cur >> 1) | ((cur & 1) << (h - 1)))
+    return sig
+
+
+def necklace_join_table(h: int):
+    """The two-generator join table (tops, partners, turns), one necklace at
+    a time: each necklace's signature has every field wt S_1 .. wt S_{h-1},
+    computed word by word, with no mirror identity and no bulk keys."""
+    mask = (1 << h) - 1
+    by_sig: dict[int, list[int]] = {}
+    for rep in _scan_py._necklaces(h):
+        by_sig.setdefault(_signature(rep, h), []).append(rep)
+
+    def rotations(reps: list[int]) -> dict[int, int]:
+        return {((r << k) | (r >> (h - k))) & mask: k for r in reps for k in range(h)}
+
+    full = sum(h << (_scan_py._FIELD * j) for j in range(h - 1))
+    rows = []
+    for sig, reps in by_sig.items():
+        partners = by_sig.get(full - sig)
+        if partners:
+            lows = tuple(sorted(rotations(partners)))
+            rows.extend((top, lows, k) for top, k in rotations(reps).items())
+    rows.sort()
+    return tuple(tuple(map(itemgetter(i), rows)) for i in range(3))
+
+
+def _gather(x: int, k: int, stride: int) -> int:
+    """Bits 0, stride, 2 stride, ... of x, k of them, as a k-bit word."""
+    s = 0
+    for i in range(k):
+        s |= ((x >> (stride * i)) & 1) << i
+    return s
+
+
+def gathered_left_tables(t: int):
+    """(spread, low_values, low_by_parity, high) of the tqu tables for t,
+    built one bit at a time: each strand digit by _gather, each spread word
+    as a sum over its bits."""
+    spread = [sum(((s >> k) & 1) << (4 * k) for k in range(t)) for s in range(1 << t)]
+
+    def left_value(s3: int, s2: int) -> int:
+        return (spread[s3] << 3) | (spread[s2] << 2)
+
+    def parities(s3: int, s2: int) -> int:
+        return (s3.bit_count() & 1) << 1 | (s2.bit_count() & 1)
+
+    tl = t // 2
+    low_values = []
+    low_by_parity: list[list[tuple[int, int, int, int]]] = [[], [], [], []]
+    for ml in range(1 << (2 * tl)):
+        s3, s2 = _gather(ml >> 1, tl, 2), _gather(ml, tl, 2)
+        low_values.append(left_value(s3, s2))
+        low_by_parity[parities(s3, s2)].append((ml, s3, s2, left_value(s3, s2)))
+    high = []
+    for mh in range(1 << (2 * (t - tl))):
+        s3 = _gather(mh >> 1, t - tl, 2) << tl
+        s2 = _gather(mh, t - tl, 2) << tl
+        high.append((s3, s2, left_value(s3, s2), parities(s3, s2)))
+    return spread, low_values, low_by_parity, high
 
 
 def _power_survivors(h: int, need_odd: int, lo: int, hi: int):

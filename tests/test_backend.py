@@ -10,16 +10,19 @@ from hfpc import _scan_py
 from hfpc.search import _partition, candidate_count
 from helpers import (
     _power_survivors,
+    _signature as helper_signature,
     _weight_range,
     all_weight_w,
     candidate_stream,
     full_check_quaternion_variants,
     full_table_is_hadamard,
+    gathered_left_tables,
     gosper_next,
     gosper_scan_quaternion,
     gosper_scan_two_generator,
     heap_scan_quaternion,
     least_geq_with_weight,
+    necklace_join_table,
     quaternion_power_survivor_count,
     survivor_scan_two_generator,
 )
@@ -225,6 +228,56 @@ def test_necklaces_are_the_minimal_rotations():
         mask = (1 << h) - 1
         brute = {min(((x >> k) | (x << (h - k))) & mask for k in range(h)) for x in range(1 << h)}
         assert list(_scan_py._necklaces(h)) == sorted(brute), h
+
+
+def test_join_table_matches_necklace_oracle():
+    for h in range(2, 21, 2):
+        assert _scan_py._join_table(h) == necklace_join_table(h), h
+
+
+def _fields(sig: int, n: int, width: int) -> list[int]:
+    return [(sig >> (width * j)) & ((1 << width) - 1) for j in range(n)]
+
+
+def test_bulk_signatures_match_per_word_signatures():
+    # 24 bits is the widest half-word whose h/2 keys fit one 64-bit slot; 26
+    # and 40 take wider slots
+    rng = random.Random(2424)
+    for h in (24, 26, 40):
+        width = h.bit_length()
+        words = [rng.getrandbits(h) for _ in range(2000)] + [0, (1 << h) - 1]
+        got_words, keys = _scan_py._signatures(iter(words), h, h // 2, width)
+        assert list(got_words) == words, h
+        for x, key in zip(words, keys):
+            want = _fields(helper_signature(x, h), h // 2, _scan_py._FIELD)
+            assert _fields(key, h // 2, width) == want, (h, x)
+            assert key >> (width * (h // 2)) == 0, (h, x)
+
+
+def test_mirror_identity():
+    # wt S_{h-j}(x) is wt S_j(x) for even wt x and h - wt S_j(x) for odd
+    for h in range(2, 15):
+        for x in range(1 << h):
+            wts = _fields(helper_signature(x, h), h - 1, _scan_py._FIELD)
+            # entry j - 1 of each side is field h - j and what field j predicts
+            assert wts[::-1] == ([h - w for w in wts] if x.bit_count() & 1 else wts), (h, x)
+
+
+def test_quaternion_strand_classes_match_full_signatures():
+    for t in range(1, 14, 2):
+        tab = _scan_py._quaternion_tables(t)
+        full: dict[int, set[int]] = {}
+        for s in range(1 << t):
+            if not s.bit_count() & 1:
+                full.setdefault(helper_signature(s, t) if t > 1 else s, set()).add(s)
+        assert sorted(map(sorted, tab.classes.values())) == sorted(map(sorted, full.values())), t
+
+
+def test_quaternion_left_tables_match_gather_construction():
+    for t in range(1, 14):
+        tab = _scan_py._quaternion_tables(t)
+        got = (tab.spread, tab.low_values, tab.low_by_parity, tab.high)
+        assert got == gathered_left_tables(t), t
 
 
 def test_row0_filter_matches_full_table_oracle():
