@@ -336,13 +336,11 @@ class _QuaternionTables:
 
     def __init__(self, t: int):
         self.t = t
-        self.mask = (1 << t) - 1
         self.rmask = int("0011" * t, 2)
         self.s3 = int("1000" * t, 2)  # strand 3; strand r is s3 >> (3 - r)
         sp = self.spread = [0] * (1 << t)  # bit k of s -> bit 4k
         for s in range(1, 1 << t):
             sp[s] = sp[s >> 1] << 4 | s & 1
-        self.unspread = {x: s for s, x in enumerate(sp)}  # strand 0 -> t bits
         fields = max(t // 2, 1)
         self.sig = list(_signatures(iter(range(1 << t)), t, fields, _FIELD)[1])
         self.classes: dict[int, list[int]] = {}
@@ -415,27 +413,22 @@ class _QuaternionTables:
         (ax, ay) the same strands of a with free bit 0: ax is the suffix xor
         of sx + sy and ay its complement.  The free bit 1 complements both,
         which turns every field w into 2t - w.
+
+        Computed on the part word: ax and ay lie in place of sx and sy,
+        and rot4 rotates both strands at once.
         """
-        t = self.t
-        mask = self.mask
+        n = 4 * self.t
+        top = n - 4
+        s1 = self.s3 >> 2
         low = (part | part >> 2) & self.rmask  # a left part moved right
-        s0 = self.s3 >> 3
-        sx = self.unspread[(low >> 1) & s0]
-        sy = self.unspread[low & s0]
-        ax = sx ^ sy
-        k = 1
-        while k < t:
-            ax ^= ax >> k
-            k <<= 1
-        ay = ax ^ mask
+        a = _prefix_xor((low ^ low << 1) & s1, n)  # ax on strand 1
+        a |= (a >> 1) ^ (s1 >> 1)  # ay on strand 0
         sig = 0
-        cx, cy = sx, sy
-        for j in range(t - 1):
-            ax = (ax >> 1) | ((ax & 1) << (t - 1))
-            ay = (ay >> 1) | ((ay & 1) << (t - 1))
-            sig |= ((cx ^ ax).bit_count() + (cy ^ ay).bit_count()) << (_FIELD * j)
-            cx = sx ^ ((cx >> 1) | ((cx & 1) << (t - 1)))
-            cy = sy ^ ((cy >> 1) | ((cy & 1) << (t - 1)))
+        cur = low
+        for j in range(self.t - 1):
+            a = (a >> 4) | ((a & 15) << top)
+            sig |= (cur ^ a).bit_count() << (_FIELD * j)
+            cur = low ^ ((cur >> 4) | ((cur & 15) << top))
         return sig
 
     def lefts(self, lo: int, hi: int):

@@ -9,6 +9,8 @@ The real doubling that turns a CCHM of order 2t into a Hadamard matrix of
 order 4t replaces each entry i^c by the 2x2 block C * psi(i^c), where
 C = [[1,1],[1,-1]] and psi is the ring embedding psi(i) = [[0,-1],[1,0]];
 C C^T = 2I makes the blown-up matrix Hadamard exactly when the row is a CCHM.
+cchm_to_code builds, checks and normalizes it as int masks of the -1 entries
+of each row, two bits per exponent, with no +-1 matrix.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .gf2 import BitVector
-from .hadamard import is_hadamard_matrix
+from .hadamard import _orthogonal_rows
 from .families import Reject, assemble
 from .propelinear import PropelinearCode
 
@@ -106,25 +108,21 @@ def is_cchm(row: QuaternaryRow) -> bool:
     return True
 
 
-_BLOCKS = {
-    0: ((1, 1), (1, -1)),
-    1: ((1, -1), (-1, -1)),
-    2: ((-1, -1), (-1, 1)),
-    3: ((-1, 1), (1, 1)),
-}
+# exponent c -> the -1 masks of the two rows of its block C psi(i^c)
+_BLOCK_ROWS = ((0b00, 0b01), (0b01, 0b11), (0b11, 0b10), (0b10, 0b00))
 
 
-def _real_double(row: QuaternaryRow) -> list[list[int]]:
-    c = row.exponents
-    n = len(c)
-    out = [[0] * (2 * n) for _ in range(2 * n)]
-    for j in range(n):
-        for l in range(n):
-            blk = _BLOCKS[c[(l - j) % n]]
-            for bi in (0, 1):
-                for bj in (0, 1):
-                    out[2 * j + bi][2 * l + bj] = blk[bi][bj]
-    return out
+def _doubled_rows(row: QuaternaryRow) -> list[int]:
+    """The 2n rows of the real doubling of a length-n row as masks of their
+    -1 entries, column 1 the MSB.  Block (j, l) is that of c[(l - j) mod n],
+    so row 2j + i is row i rotated right by 2j columns."""
+    n = 2 * len(row)
+    full = (1 << n) - 1
+    r0 = r1 = 0
+    for c in row.exponents:
+        b0, b1 = _BLOCK_ROWS[c]
+        r0, r1 = r0 << 2 | b0, r1 << 2 | b1
+    return [(r >> s | r << (n - s)) & full for s in range(0, n, 2) for r in (r0, r1)]
 
 
 def cchm_to_code(row: QuaternaryRow) -> list[BitVector]:
@@ -135,18 +133,16 @@ def cchm_to_code(row: QuaternaryRow) -> list[BitVector]:
     """
     if not is_cchm(row):
         raise NotCCHM("row fails the circulant complex Hadamard predicate")
-    h = _real_double(row)
-    n = len(h)
-    if not is_hadamard_matrix(h):
+    rows = _doubled_rows(row)
+    n = len(rows)
+    if not _orthogonal_rows(rows, n):
         raise NotCCHM("doubled matrix is not Hadamard")  # unreachable
-    col_sign = list(h[0])
-    h = [[x * col_sign[j] for j, x in enumerate(r)] for r in h]
-    h = [[x * r[0] for x in r] for r in h]
-    rows = [BitVector.from_bits([0 if x == 1 else 1 for x in r]) for r in h]
-    full = BitVector.ones(n)
-    out = {v.value: v for v in rows}
-    out.update({(v ^ full).value: v ^ full for v in rows})
-    return [out[k] for k in sorted(out)]
+    full = (1 << n) - 1
+    top = 1 << (n - 1)
+    rows = [r ^ rows[0] for r in rows]  # column signs: row 0 becomes +1
+    rows = [r ^ full if r & top else r for r in rows]  # row signs: column 1 becomes +1
+    words = set(rows).union(r ^ full for r in rows)
+    return [BitVector(n, w) for w in sorted(words)]
 
 
 def code_to_cchm(c: PropelinearCode) -> QuaternaryRow:

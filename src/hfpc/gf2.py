@@ -123,9 +123,9 @@ def rank_gf2(m: BitMatrix) -> int:
     return len(_echelon(r.value for r in m.rows))
 
 
-def row_space_basis(m: BitMatrix) -> BitMatrix:
-    """Reduced-echelon basis of the row space, pivots left to right."""
-    rows = sorted(_echelon(r.value for r in m.rows).values(), reverse=True)
+def _reduced_basis(values: Iterable[int]) -> list[int]:
+    """Reduced-echelon basis of the span, pivots left to right."""
+    rows = sorted(_echelon(values).values(), reverse=True)
     # clear each row's leading bit from the rows above it, lowest pivot first;
     # a row cleared this way keeps its own leading bit, so the order holds
     for i in range(len(rows) - 1, 0, -1):
@@ -133,4 +133,10 @@ def row_space_basis(m: BitMatrix) -> BitMatrix:
         for j in range(i):
             if rows[j] & lead:
                 rows[j] ^= rows[i]
+    return rows
+
+
+def row_space_basis(m: BitMatrix) -> BitMatrix:
+    """Reduced-echelon basis of the row space, pivots left to right."""
+    rows = _reduced_basis(r.value for r in m.rows)
     return BitMatrix(m.width, tuple(BitVector(m.width, v) for v in rows))

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .gf2 import BitMatrix, BitVector, _echelon, row_space_basis
+from .gf2 import BitMatrix, BitVector, _echelon, _reduced_basis
 from .propelinear import PropelinearCode
 
 __all__ = [
@@ -26,12 +26,7 @@ class BoundViolation(Exception):
 
 
 def is_hadamard_matrix(m: Sequence[Sequence[int]]) -> bool:
-    """True iff the +-1 matrix satisfies H H^T = n I, checked exactly.
-
-    With m_i the bitmask of the -1 entries of row i, the inner product of
-    rows i and j is n - 2 wt(m_i + m_j), so the rows are orthogonal exactly
-    when 2 wt(m_i + m_j) = n; one popcount per pair replaces n products.
-    """
+    """True iff the +-1 matrix satisfies H H^T = n I, checked exactly."""
     n = len(m)
     for row in m:
         if len(row) != n:
@@ -39,6 +34,13 @@ def is_hadamard_matrix(m: Sequence[Sequence[int]]) -> bool:
         if any(x not in (1, -1) for x in row):
             raise ValueError("entries must be +-1")
     masks = [sum(1 << j for j, x in enumerate(row) if x == -1) for row in m]
+    return _orthogonal_rows(masks, n)
+
+
+def _orthogonal_rows(masks: Sequence[int], n: int) -> bool:
+    """True iff the +-1 rows of length n, given as the masks m_i of their -1
+    entries, are pairwise orthogonal.  The inner product of rows i and j is
+    n - 2 wt(m_i + m_j): one popcount per pair replaces n products."""
     for i, mi in enumerate(masks):
         for mj in masks[i + 1 :]:
             if 2 * (mi ^ mj).bit_count() != n:
@@ -99,23 +101,19 @@ def _is_hadamard_words(n: int, vals: Sequence[int], t: int) -> bool:
 
 
 def kernel(c: Iterable[BitVector]) -> tuple[BitMatrix, int]:
-    """Basis and dimension of K(C) = {z : C + z = C}.
-
-    Assumes e is a codeword, which forces K(C) to be a subset of C, so only
-    translations by codewords are tested (hash-set membership, early exit).
-    """
-    return _kernel(*_values(c))
+    """Reduced-echelon basis and dimension of K(C) = {z : C + z = C}."""
+    n, vals = _values(c)
+    basis = _reduced_basis(_kernel(vals))
+    return BitMatrix(n, tuple(BitVector(n, v) for v in basis)), len(basis)
 
 
-def _kernel(n: int, vals: Sequence[int]) -> tuple[BitMatrix, int]:
+def _kernel(vals: Sequence[int]) -> list[int]:
+    """The members of K(C), a subspace.  Assumes e is a codeword, which forces
+    K(C) into C, so only translations by codewords are tested."""
     vset = set(vals)
     if 0 not in vset:
         raise ValueError("kernel requires the all-zero codeword")
-    members = [z for z in sorted(vset) if vset.issuperset(map(z.__xor__, vset))]
-    basis = row_space_basis(
-        BitMatrix(n, tuple(BitVector(n, z) for z in members))
-    )
-    return basis, len(basis)
+    return [z for z in vset if vset.issuperset(map(z.__xor__, vset))]
 
 
 def rank(c: Iterable[BitVector]) -> int:
@@ -209,9 +207,11 @@ def profile(c: PropelinearCode) -> CodeProfile:
     full = (1 << n) - 1
     # every word is a representative v < v + u or one plus u: same span
     r = len(_echelon([v for v in vals if v < v ^ full] + [full]))
-    kb, k = _kernel(n, vals)
-    if not any(row.value == full for row in _kernel_span(kb, n)):
+    members = _kernel(vals)
+    if full not in members:  # K(C) is a subspace: its span holds no other word
         raise BoundViolation("all-one vector missing from the kernel")
+    kb = _reduced_basis(members)
+    k = len(kb)
     problems = bound_violations(n, len(vals), r, k)
     if c.family in TWO_GENERATOR_FAMILIES and r > k and k > 3:
         problems.append("nonlinear two-generator family with k > 3")
@@ -228,16 +228,9 @@ def profile(c: PropelinearCode) -> CodeProfile:
         size=len(vals),
         rank=r,
         kernel_dim=k,
-        kernel_basis=tuple(str(row) for row in kb.rows),
+        kernel_basis=tuple(format(v, "0%db" % n) for v in kb),
         min_distance=2 * c.t,
         generator_a=fmt("a"),
         generator_b=fmt("b"),
         generator_d=fmt("d"),
     )
-
-
-def _kernel_span(basis: BitMatrix, n: int) -> list[BitVector]:
-    out = [BitVector.zero(n)]
-    for row in basis.rows:
-        out += [v ^ row for v in out]
-    return out

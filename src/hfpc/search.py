@@ -8,11 +8,12 @@ plausible generators (weight 2t plus the cheap order filters).  A search is
 one pass: one worker scans the whole space in one kernel call, and in mode
 "all" a process pool of N workers splits it into N contiguous subranges, one
 per worker, whose results are merged in range order, so results are
-identical for any worker count.  Mode "first" always scans in one call.  Accepted candidates are re-assembled through the reference
-constructors in hfpc.families before being reported, which cross-checks the
-scan kernels; re-assembly and profiling work on int words, and the Hadamard
-verdict of each re-assembled code is computed once, by the constructor, and
-reused by the profile.
+identical for any worker count.  Mode "first" always scans in one call.
+Accepted candidates are re-assembled through the reference constructors in
+hfpc.families before being reported, which cross-checks the scan kernels;
+re-assembly and profiling work on int words, and the Hadamard verdict of
+each re-assembled code is computed once, by the constructor, and reused by
+the profile.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ _FAMILY_CODE = {"4tu2": 0, "2t22u": 1, "2t4u": 2}
 # every cell of word length 32 and up needs --deep.  With the joins such cells
 # scan in seconds, not hours: a two-generator scan checks one top per necklace,
 # so 2t4u t = 8 scans in 0.01-0.02 s and 4tu2 t = 10 in 0.12-0.17 s after a
-# 0.3-0.5 s join table; what grows fast with t is the tqu scan: 12-15 s at
+# 0.1-0.2 s join table; what grows fast with t is the tqu scan: 12-15 s at
 # t = 11 and 194 s at t = 13 (full range, one process, 2 vCPU).
 DEEP_GATE = 1 << 28
 

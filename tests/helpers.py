@@ -10,15 +10,17 @@ Hadamard filters by checking every pair of table words, the Hadamard matrix
 check by integer sums of products, the tqu power-survivor count by a
 convolution over strand weight signatures, with no join, the two-generator
 join table from every signature field of one necklace at a time, the tqu
-left-part tables one bit at a time, the byte-table action perms.act by a
-loop over set bits, and the int-word family constructors by the BitVector
-builder they replaced.
+left-part tables one bit at a time, the tqu a-weight signatures on t-bit
+strands, the byte-table action perms.act by a loop over set bits, the
+int-word family constructors by the BitVector builder they replaced, and
+the CCHM doubling and conversion to a code on a +-1 matrix, block by block.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
+from functools import lru_cache
 from heapq import heappop, heappush, heapreplace
 from itertools import combinations
 from math import lcm
@@ -26,6 +28,7 @@ from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from hfpc import _scan_py
+from hfpc.cchm import NotCCHM, QuaternaryRow, is_cchm
 from hfpc.families import (
     Reject,
     assemble,
@@ -38,7 +41,7 @@ from hfpc.families import (
     family_spec,
 )
 from hfpc.gf2 import BitVector
-from hfpc.hadamard import _values
+from hfpc.hadamard import _values, is_hadamard_matrix
 from hfpc.perms import Permutation, compose, has_fixed_point, identity
 from hfpc.propelinear import Label, PropelinearCode, PropelinearElement, star, star_elem
 
@@ -156,6 +159,48 @@ def integer_is_hadamard_matrix(m: Sequence[Sequence[int]]) -> bool:
             if sum(a * b for a, b in zip(m[i], m[j])) != 0:
                 return False
     return True
+
+
+_BLOCKS = {
+    0: ((1, 1), (1, -1)),
+    1: ((1, -1), (-1, -1)),
+    2: ((-1, -1), (-1, 1)),
+    3: ((-1, 1), (1, 1)),
+}
+
+
+def _real_double(row: QuaternaryRow) -> list[list[int]]:
+    """The real doubling of a CCHM row as a 2n x 2n +-1 matrix: entry i^c
+    of the circulant becomes the 2x2 block _BLOCKS[c]."""
+    c = row.exponents
+    n = len(c)
+    out = [[0] * (2 * n) for _ in range(2 * n)]
+    for j in range(n):
+        for l in range(n):
+            blk = _BLOCKS[c[(l - j) % n]]
+            for bi in (0, 1):
+                for bj in (0, 1):
+                    out[2 * j + bi][2 * l + bj] = blk[bi][bj]
+    return out
+
+
+def matrix_cchm_to_code(row: QuaternaryRow) -> list[BitVector]:
+    """hfpc.cchm.cchm_to_code on the +-1 matrix of _real_double: normalize
+    the first row and column to +1, binarize with +1 -> 0, add complements."""
+    if not is_cchm(row):
+        raise NotCCHM("row fails the circulant complex Hadamard predicate")
+    h = _real_double(row)
+    n = len(h)
+    if not is_hadamard_matrix(h):
+        raise NotCCHM("doubled matrix is not Hadamard")
+    col_sign = list(h[0])
+    h = [[x * col_sign[j] for j, x in enumerate(r)] for r in h]
+    h = [[x * r[0] for x in r] for r in h]
+    rows = [BitVector.from_bits([0 if x == 1 else 1 for x in r]) for r in h]
+    full = BitVector.ones(n)
+    out = {v.value: v for v in rows}
+    out.update({(v ^ full).value: v ^ full for v in rows})
+    return [out[k] for k in sorted(out)]
 
 
 def quaternion_power_survivor_count(t: int) -> int:
@@ -873,6 +918,43 @@ def gathered_left_tables(t: int):
         s2 = _gather(mh, t - tl, 2) << tl
         high.append((s3, s2, left_value(s3, s2), parities(s3, s2)))
     return spread, low_values, low_by_parity, high
+
+
+@lru_cache(maxsize=None)
+def _unspread(t: int) -> dict[int, int]:
+    """Strand 0 of a 4t-bit word -> its t bits, bit 4k -> bit k."""
+    return {sum(((s >> k) & 1) << (4 * k) for k in range(t)): s for s in range(1 << t)}
+
+
+def strand_a_signature(t: int, part: int) -> int:
+    """_QuaternionTables.a_signature on the two t-bit strands of the part.
+
+    wt(S_j(sx) + rot^j ax) + wt(S_j(sy) + rot^j ay), j = 1 .. t-1, packed:
+    (sx, sy) are the two strands of one part of d, high strand first, and
+    (ax, ay) the same strands of a with free bit 0, ax the suffix xor of
+    sx + sy and ay its complement.
+    """
+    mask = (1 << t) - 1
+    unspread = _unspread(t)
+    low = (part | part >> 2) & int("0011" * t, 2)  # a left part moved right
+    s0 = int("0001" * t, 2)
+    sx = unspread[(low >> 1) & s0]
+    sy = unspread[low & s0]
+    ax = sx ^ sy
+    k = 1
+    while k < t:
+        ax ^= ax >> k
+        k <<= 1
+    ay = ax ^ mask
+    sig = 0
+    cx, cy = sx, sy
+    for j in range(t - 1):
+        ax = (ax >> 1) | ((ax & 1) << (t - 1))
+        ay = (ay >> 1) | ((ay & 1) << (t - 1))
+        sig |= ((cx ^ ax).bit_count() + (cy ^ ay).bit_count()) << (_scan_py._FIELD * j)
+        cx = sx ^ ((cx >> 1) | ((cx & 1) << (t - 1)))
+        cy = sy ^ ((cy >> 1) | ((cy & 1) << (t - 1)))
+    return sig
 
 
 def _power_survivors(h: int, need_odd: int, lo: int, hi: int):

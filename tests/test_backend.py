@@ -24,6 +24,7 @@ from helpers import (
     least_geq_with_weight,
     necklace_join_table,
     quaternion_power_survivor_count,
+    strand_a_signature,
     survivor_scan_two_generator,
 )
 
@@ -391,6 +392,26 @@ def test_quaternion_right_buckets_grow_to_each_bound():
                 for ar, bucket in buckets.items():
                     assert bucket == sorted(bucket), (t, sig)
                     assert all(tab.a_signature(rv) == ar for rv in bucket), (t, sig)
+
+
+def test_a_signature_matches_strand_oracle():
+    # every part of the stream (both strands of even weight), right and left,
+    # for t <= 9; seeded parts of any strand weights beyond
+    for t in range(1, 10):
+        tab = _scan_py._quaternion_tables(t)
+        sp = tab.spread
+        evens = [s for s in range(1 << t) if not s.bit_count() & 1]
+        for hi in evens:
+            for lo in evens:
+                rv = sp[hi] << 1 | sp[lo]
+                want = strand_a_signature(t, rv)
+                assert tab.a_signature(rv) == want == tab.a_signature(rv << 2), (t, rv)
+    rng = random.Random(2027)
+    for t in (11, 13, 15):
+        tab = _scan_py._QuaternionTables(t)
+        for _ in range(20_000):
+            part = rng.getrandbits(4 * t) & (tab.rmask << rng.choice((0, 2)))
+            assert tab.a_signature(part) == strand_a_signature(t, part), (t, part)
 
 
 def _first_window(monkeypatch, t):

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
@@ -9,6 +9,7 @@ from hfpc.cchm import (
     InvalidInput,
     NotCCHM,
     QuaternaryRow,
+    _doubled_rows,
     cchm_equivalent,
     cchm_to_code,
     code_to_cchm,
@@ -17,7 +18,13 @@ from hfpc.cchm import (
 )
 from hfpc.families import Reject, assemble
 from hfpc.gf2 import BitVector
-from hfpc.hadamard import is_hadamard_code, is_hadamard_matrix, kernel, rank
+from hfpc.hadamard import (
+    _orthogonal_rows,
+    is_hadamard_code,
+    is_hadamard_matrix,
+    kernel,
+    rank,
+)
 from hfpc.search import SearchTask, run_search
 from helpers import (
     GENERATOR_A,
@@ -26,6 +33,8 @@ from helpers import (
     ORDER16_ROW_B,
     PROFILE_A,
     PROFILE_B,
+    _real_double,
+    matrix_cchm_to_code,
     rebuild_code,
     span_of,
 )
@@ -156,14 +165,57 @@ def test_equivalence_ops_preserve_cchm():
 
 def test_block_substitution_differential():
     """The doubled matrix is Hadamard exactly when the row is a CCHM."""
-    from hfpc.cchm import _real_double
-
     rng = random.Random(11)
     rows = [ROW_A, QuaternaryRow((0, 1)), QuaternaryRow((0, 0)), QuaternaryRow((1, 3, 2, 2))]
     for _ in range(6):
         rows.append(QuaternaryRow(tuple(rng.randrange(4) for _ in range(4))))
     for row in rows:
         assert is_hadamard_matrix(_real_double(row)) == is_cchm(row)
+        assert _orthogonal_rows(_doubled_rows(row), 2 * len(row)) == is_cchm(row)
+
+
+def _image(row: QuaternaryRow, rng: random.Random) -> QuaternaryRow:
+    """j -> eps * r[(m j + s) mod n] + g with gcd(m, n) = 1: a CCHM row's
+    image is a CCHM row."""
+    c = row.exponents
+    n = len(c)
+    eps = rng.choice((1, -1))
+    m = rng.choice([m for m in range(1, n) if gcd(m, n) == 1])
+    s, g = rng.randrange(n), rng.randrange(4)
+    return QuaternaryRow(tuple((eps * c[(m * j + s) % n] + g) % 4 for j in range(n)))
+
+
+def _masks(matrix: list[list[int]]) -> list[int]:
+    return [int("".join("1" if x == -1 else "0" for x in r), 2) for r in matrix]
+
+
+def test_doubled_rows_match_block_matrix():
+    rng = random.Random(23)
+    rows = [QuaternaryRow(c) for c in ((0, 1), (0, 0, 0, 2), (0, 0, 0, 1, 2, 0, 2, 1))]
+    rows += [ROW_A, ROW_B]
+    rows += [_image(row, rng) for row in rows for _ in range(5)]
+    assert all(is_cchm(row) for row in rows)
+    for n in range(2, 17, 2):
+        for _ in range(20):
+            rows.append(QuaternaryRow(tuple(rng.randrange(4) for _ in range(n))))
+    assert not all(is_cchm(row) for row in rows)
+    for row in rows:
+        assert _doubled_rows(row) == _masks(_real_double(row)), row
+
+
+def test_cchm_to_code_matches_matrix_construction(accepted_pool):
+    # every row code_to_cchm gives from the accepted 2t4u codes of t = 1, 2,
+    # 4 and 8, one seeded image of each at t <= 4 and 200 at t = 8
+    rng = random.Random(29)
+    rows = []
+    for t in (1, 2, 4):
+        found = [code_to_cchm(rebuild_code(a)) for a in accepted_pool[("2t4u", t)].accepted]
+        rows += found + [_image(row, rng) for row in found]
+    found = [code_to_cchm(rebuild_code(a)) for a in run_search(SearchTask("2t4u", 8)).accepted]
+    assert len(found) == 1_536
+    rows += found + [_image(row, rng) for row in rng.sample(found, 200)]
+    for row in rows:
+        assert cchm_to_code(row) == matrix_cchm_to_code(row), row
 
 
 def test_sylvester_double_example():

@@ -24,6 +24,7 @@ from helpers import (
     ORDER16_ROW_B,
     PROFILE_A,
     PROFILE_B,
+    _real_double,
     all_weight_w,
     full_pairwise_is_hadamard_code,
     integer_is_hadamard_matrix,
@@ -69,7 +70,7 @@ def _flip_one(m: list[list[int]], rng: random.Random) -> list[list[int]]:
 
 
 def test_bitmask_hadamard_matrix_matches_integer_oracle():
-    from hfpc.cchm import QuaternaryRow, _real_double
+    from hfpc.cchm import QuaternaryRow
 
     rng = random.Random(1607)
     cases = []
