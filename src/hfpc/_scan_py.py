@@ -31,9 +31,9 @@ part) add up to 2t in every field.
 Both Hadamard filters check row 0 first.  A table word's distance from
 e = 0 is its weight, so row 0 of the pairwise check asks that every table
 word weigh 2t, and almost every power survivor fails it within a few
-bit_counts; only the words that pass reach the full pairwise check.  Row 0
-is a subset of that check, so verdicts, counters and accepted order are
-those of the full check alone.
+bit_counts; only the words that pass reach the full pairwise check,
+hadamard._orthogonal_rows on the table.  Row 0 is a subset of that check,
+so verdicts, counters and accepted order are those of the full check alone.
 
 - Two-generator: the weights wt(a^j + rot^j b) are checked as a^j and
   rot^j b are built, with an exit at the first wrong one.
@@ -68,6 +68,8 @@ from itertools import compress, islice
 from math import comb
 from operator import itemgetter
 from sys import byteorder
+
+from .hadamard import _orthogonal_rows
 
 __all__ = ["scan_two_generator", "scan_quaternion"]
 
@@ -195,7 +197,7 @@ def _is_hadamard(a: int, h: int, b_compl: bool) -> bool:
     the distance from a^0 = 0 to a^j * b is its weight, checked as each j is
     built, with an exit at the first wrong one (the a^j have weight 2t by
     the power filter).  Only a candidate that passes row 0 reaches the full
-    pairwise check.
+    pairwise check, hadamard._orthogonal_rows on the 4t words.
     """
     n = 2 * h
     mh = (1 << h) - 1
@@ -223,12 +225,7 @@ def _is_hadamard(a: int, h: int, b_compl: bool) -> bool:
         d_tab[h + j] = ab
         cur = a ^ (((cur >> 1) & keep) | ((cur & ends) << (h - 1)))
         rb = ((rb >> 1) & keep) | ((rb & ends) << (h - 1))
-    for i in range(n):
-        di = d_tab[i]
-        for j in range(i + 1, n):
-            if (di ^ d_tab[j]).bit_count() != h:
-                return False
-    return True
+    return _orthogonal_rows(d_tab, n)
 
 
 def scan_two_generator(
@@ -507,7 +504,8 @@ def _quaternion_variants(
     counted as rejected there.  The others derive a and b, check the
     relations, the rest of row 0 (the weights of d^j * b and d^j * ab, one j
     at a time with an exit at the first wrong one), then the code-set dedup
-    and the full pairwise Hadamard condition.
+    and the full pairwise Hadamard condition, hadamard._orthogonal_rows on
+    the 4t words d^j, d^j * a, d^j * b and d^j * ab.
     Returns (accepted triples, rejected_no_b, rejected_relation,
     rejected_hadamard).
     """
@@ -602,15 +600,7 @@ def _quaternion_variants(
             sig = tuple(sorted(min(x, x ^ full) for x in t_tab))
             if sig in seen:
                 continue
-            for i in range(n):
-                ti = t_tab[i]
-                for j in range(i + 1, n):
-                    if (ti ^ t_tab[j]).bit_count() != w:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
+            if not _orthogonal_rows(t_tab, n):
                 rej_had += 1
                 continue
             seen.add(sig)

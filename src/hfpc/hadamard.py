@@ -40,7 +40,10 @@ def is_hadamard_matrix(m: Sequence[Sequence[int]]) -> bool:
 def _orthogonal_rows(masks: Sequence[int], n: int) -> bool:
     """True iff the +-1 rows of length n, given as the masks m_i of their -1
     entries, are pairwise orthogonal.  The inner product of rows i and j is
-    n - 2 wt(m_i + m_j): one popcount per pair replaces n products."""
+    n - 2 wt(m_i + m_j): one popcount per pair replaces n products.  As
+    binary words, the masks are then pairwise at distance n/2.  This is the
+    package's one pairwise distance check: the matrix and code verdicts and
+    both Hadamard filters of the scan call it."""
     for i, mi in enumerate(masks):
         for mj in masks[i + 1 :]:
             if 2 * (mi ^ mj).bit_count() != n:
@@ -77,7 +80,8 @@ def _is_hadamard_words(n: int, vals: Sequence[int], t: int) -> bool:
 
     Once the set is complement-closed, d(v + u, w) = 4t - d(v, w), so the
     distance condition holds exactly when the 4t representatives v < v + u
-    are pairwise at distance 2t; only those pairs are compared.
+    are pairwise at distance 2t: the rows of a Hadamard matrix of order 4t,
+    checked by _orthogonal_rows.
     """
     if n != 4 * t:
         return False
@@ -92,12 +96,7 @@ def _is_hadamard_words(n: int, vals: Sequence[int], t: int) -> bool:
     # only e has weight 0 and only u weight 4t: every other word has weight 2t
     if not {0, 2 * t, n}.issuperset(map(int.bit_count, vset)):
         return False
-    reps = [v for v in vset if v < v ^ full]
-    distance = {2 * t}
-    for i, v in enumerate(reps):
-        if not distance.issuperset(map(int.bit_count, map(v.__xor__, reps[i + 1 :]))):
-            return False
-    return True
+    return _orthogonal_rows([v for v in vset if v < v ^ full], n)
 
 
 def kernel(c: Iterable[BitVector]) -> tuple[BitMatrix, int]:

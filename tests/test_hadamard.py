@@ -104,6 +104,39 @@ def test_bitmask_hadamard_matrix_matches_integer_oracle():
     assert all(is_hadamard_matrix(h) for h in hadamard)
 
 
+def _failing_pairs(masks: list[int], n: int) -> list[tuple[int, int]]:
+    return [
+        (i, j)
+        for i in range(len(masks))
+        for j in range(i + 1, len(masks))
+        if bin(masks[i] ^ masks[j]).count("1") * 2 != n
+    ]
+
+
+def test_orthogonal_rows_rejects_a_single_failing_pair():
+    # the one pairwise check behind the matrix and code verdicts and both scan
+    # filters: replacing row j by a copy of row i (or of its complement) keeps
+    # it orthogonal to every other row, so exactly the pair (i, j) fails
+    for n in (4, 8, 16, 32):
+        masks = [sum(1 << k for k, x in enumerate(r) if x == -1) for r in _sylvester(n)]
+        full = (1 << n) - 1
+        assert hadamard._orthogonal_rows(masks, n)
+        for i, j, compl in ((0, 1, False), (n - 2, n - 1, False), (n // 2 - 1, n // 2, True)):
+            bad = list(masks)
+            bad[j] = masks[i] ^ full if compl else masks[i]
+            assert _failing_pairs(bad, n) == [(i, j)]
+            assert not hadamard._orthogonal_rows(bad, n), (n, i, j)
+    # odd n: no distance is n/2, not even floor(n/2) or ceil(n/2)
+    for n in (1, 3, 5, 7):
+        for w in (n // 2, n // 2 + 1):
+            assert not hadamard._orthogonal_rows([0, (1 << w) - 1], n)
+            assert not hadamard._orthogonal_rows([1, 0, (1 << w) - 1], n)
+        assert hadamard._orthogonal_rows([1], n)
+    for n in (0, 1, 4):
+        assert hadamard._orthogonal_rows([], n)
+    assert hadamard._orthogonal_rows([5], 4)
+
+
 def test_is_hadamard_code():
     assert is_hadamard_code(EVEN_WEIGHT_4, 1)
     removed = [v for v in EVEN_WEIGHT_4 if v.value != 15]

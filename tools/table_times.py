@@ -4,16 +4,21 @@
     python3 tools/table_times.py --join 16
     python3 tools/table_times.py --quaternion 9
     python3 tools/table_times.py --scan 4tu2 12
+    python3 tools/table_times.py --scan tqu 9
 
 Imports ``hfpc`` from the ``src/`` beside this script.  ``--join H`` times
 ``_scan_py._join_table(H)``, ``--quaternion T`` times
-``_scan_py._quaternion_tables(T)``, and ``--scan FAMILY T`` (4tu2, 2t22u
-or 2t4u) builds that cell's join table (timed as above), then times the
-two-generator kernel in all mode over the whole range [0, 2^4t).  Each
-stage is timed with ``perf_counter`` around the one call, so run one
-invocation per measurement: the tables are memoised for the life of the
-process.  Prints one JSON object with the times in seconds, the scan
-counters and accepted count, and ``ru_maxrss`` in MB at the end.
+``_scan_py._quaternion_tables(T)``, and ``--scan FAMILY T`` builds that
+cell's tables (the join table for 4tu2, 2t22u or 2t4u, the quaternion
+tables for tqu; timed as above), then times the scan kernel in all mode
+over the whole range [0, 2^4t) in one ``search._scan_chunk`` call, then
+times as ``reverify_s`` what ``search.run_search`` does with the accepted
+items: re-assemble each through ``search._verify`` and profile each distinct
+code set.  Each stage is timed
+with ``perf_counter`` around it, so run one invocation per measurement: the
+tables are memoised for the life of the process.  Prints one JSON object
+with the times in seconds, the scan counters, the accepted and distinct
+counts, and ``ru_maxrss`` in MB at the end.
 """
 
 from __future__ import annotations
@@ -28,9 +33,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from hfpc import _scan_py  # noqa: E402
-
-FAMILIES = {"4tu2": 0, "2t22u": 1, "2t4u": 2}
+from hfpc import _scan_py, search  # noqa: E402
+from hfpc.families import SEARCH_TAGS  # noqa: E402
+from hfpc.hadamard import profile  # noqa: E402
 
 
 def timed(call, *args):
@@ -39,27 +44,43 @@ def timed(call, *args):
     return result, round(time.perf_counter() - start, 4)
 
 
+def reverify(family: str, t: int, accepted: list) -> int:
+    """run_search's loop after the scan: every accepted item re-assembled,
+    one profile per distinct code set.  Returns the distinct count."""
+    profiled = set()
+    for item in accepted:
+        code = search._verify(family, t, item)
+        if code.vector_values not in profiled:
+            profiled.add(code.vector_values)
+            profile(code)
+    return len(profiled)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--join", type=int, metavar="H", help="half-word length 2t")
     parser.add_argument("--quaternion", type=int, metavar="T")
     parser.add_argument("--scan", nargs=2, metavar=("FAMILY", "T"))
     args = parser.parse_args()
-    if args.scan and args.scan[0] not in FAMILIES:
-        parser.error("FAMILY is one of 4tu2, 2t22u, 2t4u")
+    if args.scan and args.scan[0] not in SEARCH_TAGS:
+        parser.error("FAMILY is one of 4tu2, 2t22u, 2t4u, tqu")
     out: dict = {"python": platform.python_version()}
     if args.join is not None:
         _, out["join_table_s"] = timed(_scan_py._join_table, args.join)
     if args.quaternion is not None:
         _, out["quaternion_tables_s"] = timed(_scan_py._quaternion_tables, args.quaternion)
     if args.scan:
-        family, t = FAMILIES[args.scan[0]], int(args.scan[1])
-        _, out["join_table_s"] = timed(_scan_py._join_table, 2 * t)
+        family, t = args.scan[0], int(args.scan[1])
+        if family == "tqu":
+            _, out["quaternion_tables_s"] = timed(_scan_py._quaternion_tables, t)
+        else:
+            _, out["join_table_s"] = timed(_scan_py._join_table, 2 * t)
         (accepted, counters), out["scan_s"] = timed(
-            _scan_py.scan_two_generator, family, t, 0, 1 << (4 * t)
+            search._scan_chunk, (family, t, 0, 1 << (4 * t), False)
         )
         out["counters"] = list(counters)
         out["accepted"] = len(accepted)
+        out["distinct"], out["reverify_s"] = timed(reverify, family, t, accepted)
     out["ru_maxrss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
     print(json.dumps(out))
 
