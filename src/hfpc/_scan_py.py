@@ -34,6 +34,8 @@ word weigh 2t, and almost every power survivor fails it within a few
 bit_counts; only the words that pass reach the full pairwise check,
 hadamard._orthogonal_rows on the table.  Row 0 is a subset of that check,
 so verdicts, counters and accepted order are those of the full check alone.
+Both filters take their generators from the derivations in families that
+the reference constructors use.
 
 - Two-generator: the weights wt(a^j + rot^j b) are checked as a^j and
   rot^j b are built, with an exit at the first wrong one.
@@ -48,8 +50,8 @@ so verdicts, counters and accepted order are those of the full check alone.
   variants as rejected; only the accepted triples are sorted into stream
   order at the end.  A first-accept scan runs the same walk on aligned
   windows of doubling size and stops in the first window with an accept.
-  The variants that pass go on to the b derivation, the relations and the
-  rest of row 0 (wt(d^j + rot^j b) and wt(d^j + rot^j ab)).
+  The variants that pass go on to b, the relations and the rest of row 0
+  (wt(d^j + rot^j b) and wt(d^j + rot^j ab)).
   A visited d's counters are those of every word in its rot4 orbit, so one
   scan keeps a memo from each rejected orbit's least rotation to its
   counters and runs the variants of one d per rejected orbit; every d of an
@@ -57,7 +59,8 @@ so verdicts, counters and accepted order are those of the full check alone.
   survivors, at t = 11 55,320 of 595,320.
 
 In both scans the examined and power-rejected counts come from ranking the
-candidate stream, as if every candidate had been visited in ascending order.
+candidate stream, as if every candidate had been visited in ascending order;
+search.candidate_count is the rank of the end of the word range.
 """
 
 from __future__ import annotations
@@ -69,6 +72,7 @@ from math import comb
 from operator import itemgetter
 from sys import byteorder
 
+from .families import _companion_b, _prefix_xor, _quaternion_as, _quaternion_bs, _strand_masks
 from .hadamard import _orthogonal_rows
 
 __all__ = ["scan_two_generator", "scan_quaternion"]
@@ -192,23 +196,17 @@ def _rank(x: int, h: int, need_odd: int) -> int:
 def _is_hadamard(a: int, h: int, b_compl: bool) -> bool:
     """The scan's Hadamard filter on a power survivor a.
 
-    Builds the companion generator b, then checks that the words a^j and
-    a^j * b = a^j + rot^j b are pairwise at distance 2t.  Row 0 goes first:
-    the distance from a^0 = 0 to a^j * b is its weight, checked as each j is
-    built, with an exit at the first wrong one (the a^j have weight 2t by
-    the power filter).  Only a candidate that passes row 0 reaches the full
-    pairwise check, hadamard._orthogonal_rows on the 4t words.
+    Takes the companion generator b from families._companion_b, then checks
+    that the words a^j and a^j * b = a^j + rot^j b are pairwise at distance
+    2t.  Row 0 goes first: the distance from a^0 = 0 to a^j * b is its
+    weight, checked as each j is built, with an exit at the first wrong one
+    (the a^j have weight 2t by the power filter).  Only a candidate that
+    passes row 0 reaches the full pairwise check, hadamard._orthogonal_rows
+    on the 4t words.
     """
     n = 2 * h
     mh = (1 << h) - 1
-    # companion generator: first half of b is the suffix xor of a + pi_b(a)
-    p = (a >> h) ^ (a & mh)
-    k = 1
-    while k < h:
-        p ^= (p << k) & mh
-        k <<= 1
-    bh = (p << 1) & mh
-    b = (bh << h) | (bh ^ mh if b_compl else bh)
+    b = _companion_b(a, h // 2, b_compl)
 
     # rot rotates both halves right by one: keep the bits that stay in their
     # half, move each half's lowest bit (ends) to its top
@@ -286,14 +284,18 @@ _QUATERNION_TABLES: dict[int, "_QuaternionTables"] = {}
 def _strand_words(p: int, w: int, par: int) -> int:
     """Words on bit positions [0, p) of weight w whose strand parities are par.
 
-    Bit r of par is the parity of the word's weight on strand r.
+    Bit r of par is the parity of the word's weight on strand r, which holds
+    c_r = (p + 3 - r) // 4 of the positions: a sum of products of C(c_r, w_r).
     """
-    if w < 0 or w > p:
-        return 0
-    if p == 0:
-        return 1 if par == 0 else 0
-    q = p - 1
-    return _strand_words(q, w, par) + _strand_words(q, w - 1, par ^ (1 << (q & 3)))
+    c0, c1, c2, c3 = ((p + 3 - r) // 4 for r in range(4))
+    count = 0
+    for w3 in range(par >> 3 & 1, c3 + 1, 2):
+        for w2 in range(par >> 2 & 1, c2 + 1, 2):
+            for w1 in range(par >> 1 & 1, c1 + 1, 2):
+                w0 = w - w3 - w2 - w1
+                if 0 <= w0 <= c0 and w0 & 1 == par & 1:
+                    count += comb(c3, w3) * comb(c2, w2) * comb(c1, w1) * comb(c0, w0)
+    return count
 
 
 def _quaternion_rank(x: int, t: int) -> int:
@@ -304,11 +306,9 @@ def _quaternion_rank(x: int, t: int) -> int:
     """
     n = 4 * t
     w = 2 * t
-    if x >> n:
-        return _strand_words(n, w, 0)
     count = 0
     par = 0
-    for p in range(n - 1, -1, -1):
+    for p in range(n, -1, -1):  # bit n is set only in x = 2^4t
         if (x >> p) & 1:
             count += _strand_words(p, w, par)
             w -= 1
@@ -485,15 +485,6 @@ def _quaternion_tables(t: int) -> _QuaternionTables:
     return tab
 
 
-def _prefix_xor(x: int, n: int) -> int:
-    """Each bit of the n-bit x xored with the bits 4, 8, ... places above it."""
-    k = 4
-    while k < n:
-        x ^= x >> k
-        k <<= 1
-    return x
-
-
 def _quaternion_variants(
     d: int, t: int, allowed: tuple[bool, bool], first_only: bool
 ) -> tuple[list[tuple[int, int, int]], int, int, int]:
@@ -512,8 +503,7 @@ def _quaternion_variants(
     n = 4 * t
     w = 2 * t
     full = (1 << n) - 1
-    s3 = _quaternion_tables(t).s3
-    s2, s1 = s3 >> 1, s3 >> 2
+    s3, s2, s1, _ = _strand_masks(t)
     odd = s3 | s1  # odd bit positions, for the pair swap
     even = odd >> 1
     high = s3 | s2  # high bit pairs of each nibble, for the nibble swap
@@ -539,74 +529,57 @@ def _quaternion_variants(
 
     pd = pairswap(d)
     nd = nibswap(d)
-    # telescoped class sums, read from the top nibble down: a1 (strand 3)
-    # and a3 (strand 1) for f1 = f3 = 0, b1 (strand 3) and b2 (strand 2)
-    # for seed2 = 0
-    what = d ^ pd
-    wtil = d ^ nd
-    p1 = _prefix_xor(what & s3, n)
-    p3 = _prefix_xor(what & s1, n)
-    q1 = _prefix_xor(wtil & s3, n)
-    q2 = _prefix_xor(wtil & s2, n)
+    a_words = _quaternion_as(d, t)
     seen: set[tuple[int, ...]] = set()
-    for f1 in (0, 1):
-        for f3 in (0, 1):
-            if not allowed[f1 ^ f3]:
-                rej_had += 1
-                continue
-            # a from d: blocks (a1, ~a1, a3, ~a3)
-            a1 = p1 ^ s3 if f1 else p1
-            a3 = p3 ^ s1 if f3 else p3
-            a = a1 | ((a1 ^ s3) >> 1) | a3 | ((a3 ^ s1) >> 1)
-            # b from a, seed 0: the seed-1 twin is b + u and generates
-            # the same code, so only one seed is scanned here.  b exists when
-            # b1 + b2 = 1 + a1 + a3 in every block (compared on strand 2)
-            seed2 = 1 ^ ((a >> 3) & 1) ^ ((a >> 1) & 1)
-            b2 = q2 ^ s2 if seed2 else q2
-            if (q1 >> 1) ^ b2 != s2 ^ (a1 >> 1) ^ (a3 << 1):
-                rej_nob += 1
-                continue
-            b = q1 | b2 | ((q1 ^ s3) >> 2) | ((b2 ^ s2) >> 2)
-            ab = a ^ pairswap(b)
-            if (
-                d ^ rot4(a) != a ^ pd
-                or d ^ rot4(b) != b ^ nd
-                or ab ^ pairswap(nibswap(a)) != b
-            ):
-                rej_rel += 1
-                continue
-            rqa, rqb, rqab = a, b, ab
-            ok = True
-            for j in range(t):
-                base = 4 * j
-                pj = powers[j]
-                xb = pj ^ rqb
-                xab = pj ^ rqab
-                if xb.bit_count() != w or xab.bit_count() != w:
-                    ok = False
-                    break
-                t_tab[base] = pj
-                t_tab[base + 1] = pj ^ rqa
-                t_tab[base + 2] = xb
-                t_tab[base + 3] = xab
-                rqa = rot4(rqa)
-                rqb = rot4(rqb)
-                rqab = rot4(rqab)
-            if not ok:
-                rej_had += 1
-                continue
-            # the same rows up to complement have the same distances, so a
-            # code set seen before passed the full check and is skipped here
-            sig = tuple(sorted(min(x, x ^ full) for x in t_tab))
-            if sig in seen:
-                continue
-            if not _orthogonal_rows(t_tab, n):
-                rej_had += 1
-                continue
-            seen.add(sig)
-            accepted.append((d, a, b))
-            if first_only:
-                return accepted, rej_nob, rej_rel, rej_had
+    # flip is f1 ^ f3 of the variants (f1, f3) = 00, 01, 10, 11; b has seed 0,
+    # as its seed-1 twin b + u generates the same code
+    for flip, a, b in zip((0, 1, 1, 0), a_words, _quaternion_bs(d, t, a_words)):
+        if not allowed[flip]:
+            rej_had += 1
+            continue
+        if b is None:
+            rej_nob += 1
+            continue
+        ab = a ^ pairswap(b)
+        if (
+            d ^ rot4(a) != a ^ pd
+            or d ^ rot4(b) != b ^ nd
+            or ab ^ pairswap(nibswap(a)) != b
+        ):
+            rej_rel += 1
+            continue
+        rqa, rqb, rqab = a, b, ab
+        ok = True
+        for j in range(t):
+            base = 4 * j
+            pj = powers[j]
+            xb = pj ^ rqb
+            xab = pj ^ rqab
+            if xb.bit_count() != w or xab.bit_count() != w:
+                ok = False
+                break
+            t_tab[base] = pj
+            t_tab[base + 1] = pj ^ rqa
+            t_tab[base + 2] = xb
+            t_tab[base + 3] = xab
+            rqa = rot4(rqa)
+            rqb = rot4(rqb)
+            rqab = rot4(rqab)
+        if not ok:
+            rej_had += 1
+            continue
+        # the same rows up to complement have the same distances, so a
+        # code set seen before passed the full check and is skipped here
+        sig = tuple(sorted(min(x, x ^ full) for x in t_tab))
+        if sig in seen:
+            continue
+        if not _orthogonal_rows(t_tab, n):
+            rej_had += 1
+            continue
+        seen.add(sig)
+        accepted.append((d, a, b))
+        if first_only:
+            return accepted, rej_nob, rej_rel, rej_had
     return accepted, rej_nob, rej_rel, rej_had
 
 

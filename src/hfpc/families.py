@@ -16,6 +16,10 @@ code.  For the quaternion family, d determines a up to two free bits and a
 determines b up to one seed bit resolved by propagating db = bd block by block;
 the seed is fixed to 0 in the same way, since seed 1 gives b + u and the same
 code, so every d has four variants, one per pair of free bits of a.
+
+The derivations are written once, on int words; the constructors, derive_*
+and both Hadamard filters of the scan call them, and the constructors still
+check every relation on the permutations.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from functools import cache
 
 from .gf2 import BitVector
 from .hadamard import code_is_hadamard
-from .perms import Permutation, act, apply, compose, from_cycles, has_fixed_point, identity
+from .perms import Permutation, act, compose, from_cycles, has_fixed_point, identity
 from .propelinear import Label, PropelinearCode, PropelinearElement
 
 __all__ = [
@@ -181,6 +185,65 @@ def _fixed_point_verdicts(tag: str, t: int) -> tuple[tuple[bool, bool], ...]:
     return tuple((p == ident, has_fixed_point(p)) for p in element_perms(tag, t))
 
 
+def _prefix_xor(x: int, n: int) -> int:
+    """Each bit of the n-bit x xored with the bits 4, 8, ... places above it."""
+    k = 4
+    while k < n:
+        x ^= x >> k
+        k <<= 1
+    return x
+
+
+@cache
+def _strand_masks(t: int) -> tuple[int, int, int, int]:
+    """Strands 3, 2, 1, 0 of a 4t-bit word: the bits at positions = r mod 4."""
+    s3 = int("1000" * t, 2)
+    return s3, s3 >> 1, s3 >> 2, s3 >> 3
+
+
+def _companion_b(a: int, t: int, b_square_is_u: bool) -> int:
+    """b of the abelian-family word a, free bit 0: the suffix xor of a + pi_b(a)
+    one place up, then that repeated, or complemented for b^2 = u."""
+    h = 2 * t
+    mh = (1 << h) - 1
+    p = (a >> h) ^ (a & mh)
+    k = 1
+    while k < h:
+        p ^= (p << k) & mh
+        k <<= 1
+    bh = (p << 1) & mh
+    return (bh << h) | (bh ^ mh if b_square_is_u else bh)
+
+
+def _quaternion_as(d: int, t: int) -> tuple[int, int, int, int]:
+    """The words a of d for the free bits (f1, f3) = 00, 01, 10, 11: strands
+    3 and 1 of a00 are prefix xors of d + pi_a(d), from the top block down,
+    strands 2 and 0 their complements; f1 flips strands 3 and 2, f3 1 and 0."""
+    s3, s2, s1, s0 = _strand_masks(t)
+    odd = s3 | s1
+    p = _prefix_xor((d ^ d << 1) & odd, 4 * t)  # d + pi_a(d) on strands 3 and 1
+    a = p | (p ^ odd) >> 1
+    high, low = s3 | s2, s1 | s0
+    return a, a ^ low, a ^ high, a ^ high ^ low
+
+
+def _quaternion_bs(d: int, t: int, a_words) -> list[int | None]:
+    """The seed-0 word b of d for each word a, or None where there is none:
+    strands 3 and 2 are prefix xors of d + pi_b(d), strand 2 offset by 1 +
+    a_{4t-3} + a_{4t-1}, strands 1 and 0 their complements; b exists when
+    b_{4i-3} + b_{4i-2} = 1 + a_{4i-3} + a_{4i-1} in every block i."""
+    s3, s2, s1, _ = _strand_masks(t)
+    q = _prefix_xor((d ^ d << 2) & (s3 | s2), 4 * t)  # d + pi_b(d) on strands 3 and 2
+    q1, q2 = q & s3, q & s2
+    q1_low = q1 | (q1 ^ s3) >> 2
+    out: list[int | None] = []
+    for a in a_words:
+        b2 = q2 if (a >> 3 ^ a >> 1) & 1 else q2 ^ s2
+        ok = (q1 >> 1) ^ b2 == s2 ^ (a & s3) >> 1 ^ (a & s1) << 1  # on strand 2
+        out.append(q1_low | b2 | (b2 ^ s2) >> 2 if ok else None)
+    return out
+
+
 def derive_b_from_a(a: BitVector, tag: str, t: int) -> BitVector:
     """Companion generator b from a for the abelian families.
 
@@ -193,17 +256,7 @@ def derive_b_from_a(a: BitVector, tag: str, t: int) -> BitVector:
         raise ValueError("family %r has no derived generator b" % tag)
     if a.n != spec.length:
         raise ValueError("candidate length %d != %d" % (a.n, spec.length))
-    perms = family_perms(tag, t)
-    ahat = a ^ apply(perms["b"], a)
-    ah = ahat.bits()[: 2 * t]
-    first = [0] * (2 * t)
-    for i in range(2 * t - 1, 0, -1):  # b_i = b_{i+1} + ahat_{i+1}, 1-based
-        first[i - 1] = first[i] ^ ah[i]
-    if spec.b_square_is_u:
-        second = [x ^ 1 for x in first]
-    else:
-        second = list(first)
-    return BitVector.from_bits(first + second)
+    return BitVector(a.n, _companion_b(a.value, t, spec.b_square_is_u))
 
 
 def derive_a_from_d(
@@ -219,20 +272,12 @@ def derive_a_from_d(
     spec = family_spec("tqu", t)
     if d.n != spec.length:
         raise ValueError("candidate length %d != %d" % (d.n, spec.length))
-    perms = family_perms("tqu", t)
-    what = (d ^ apply(perms["a"], d)).bits()
     f1, f3 = free_bits
-    pre1 = pre3 = 0
-    bits = [0] * (4 * t)
-    for i in range(1, t + 1):
-        pre1 ^= what[4 * i - 4]  # what_{4i-3}
-        pre3 ^= what[4 * i - 2]  # what_{4i-1}
-        a1 = f1 ^ pre1
-        a3 = f3 ^ pre3
-        bits[4 * i - 4 : 4 * i] = [a1, a1 ^ 1, a3, a3 ^ 1]
-    if pre1 or pre3:
+    a = _quaternion_as(d.value, t)[2 * f1 + f3]
+    # the telescoped sums close, back at the free bits, exactly when d^t = e
+    if (a >> 3 & 1, a >> 1 & 1) != (f1, f3):
         raise ValueError("derivation inconsistent: d^t != e")
-    return BitVector.from_bits(bits)
+    return BitVector(d.n, a)
 
 
 def derive_b_from_a_quaternion(
@@ -249,22 +294,12 @@ def derive_b_from_a_quaternion(
     spec = family_spec("tqu", t)
     if a.n != spec.length or d.n != spec.length:
         raise ValueError("length mismatch")
-    perms = family_perms("tqu", t)
-    wtil = (d ^ apply(perms["b"], d)).bits()
-    ab = a.bits()
-    seed1 = free_bit & 1
-    seed2 = seed1 ^ 1 ^ ab[4 * t - 4] ^ ab[4 * t - 2]
-    pre1 = pre2 = 0
-    bits = [0] * (4 * t)
-    for i in range(1, t + 1):
-        pre1 ^= wtil[4 * i - 4]  # wtil_{4i-3}
-        pre2 ^= wtil[4 * i - 3]  # wtil_{4i-2}
-        b1 = seed1 ^ pre1
-        b2 = seed2 ^ pre2
-        if b1 ^ b2 != 1 ^ ab[4 * i - 4] ^ ab[4 * i - 2]:
-            return None
-        bits[4 * i - 4 : 4 * i] = [b1, b2, b1 ^ 1, b2 ^ 1]
-    return BitVector.from_bits(bits)
+    b = _quaternion_bs(d.value, t, (a.value,))[0]
+    if b is None:
+        return None
+    if free_bit & 1:  # seed 1 gives b + u
+        b ^= (1 << a.n) - 1
+    return BitVector(a.n, b)
 
 
 def _checked_powers(
@@ -333,7 +368,8 @@ def _assemble_two_generator(tag: str, t: int, a: BitVector) -> PropelinearCode |
         return powers
     perms = family_perms(tag, t)
     pa, pb = perms["a"], perms["b"]
-    av, bv = a.value, derive_b_from_a(a, tag, t).value
+    av = a.value
+    bv = _companion_b(av, t, spec.b_square_is_u)
     if av ^ act(pa, bv) != bv ^ act(pb, av):
         return Reject("relation", "ab != ba")
     if bv ^ act(pb, bv) != (full if spec.b_square_is_u else 0):
@@ -433,13 +469,12 @@ def assemble_quaternion_variants(
         return [], powers
     codes: dict[frozenset[int], PropelinearCode] = {}
     first_reject: Reject | None = None
-    for free_bits in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        a = derive_a_from_d(d, free_bits, t)
-        b = derive_b_from_a_quaternion(a, d, 0, t)
+    a_words = _quaternion_as(d.value, t)
+    for a, b in zip(a_words, _quaternion_bs(d.value, t, a_words)):
         if b is None:
             result = Reject("no_b", "case table contradicts propagation")
         else:
-            result = _quaternion_code(t, d.value, a.value, b.value, powers)
+            result = _quaternion_code(t, d.value, a, b, powers)
         if not isinstance(result, Reject):
             codes.setdefault(result.vector_values, result)
         elif first_reject is None:

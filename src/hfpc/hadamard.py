@@ -218,8 +218,6 @@ def profile(c: PropelinearCode) -> CodeProfile:
         raise BoundViolation(
             "code of length %d with (r,k)=(%d,%d): %s" % (n, r, k, "; ".join(problems))
         )
-    gens = c.generators
-    fmt = lambda name: str(gens[name].vector) if name in gens else None
     return CodeProfile(
         family=c.family,
         t=c.t,
@@ -229,7 +227,11 @@ def profile(c: PropelinearCode) -> CodeProfile:
         kernel_dim=k,
         kernel_basis=tuple(format(v, "0%db" % n) for v in kb),
         min_distance=2 * c.t,
-        generator_a=fmt("a"),
-        generator_b=fmt("b"),
-        generator_d=fmt("d"),
+        **_generator_fields(c),
     )
+
+
+def _generator_fields(c: PropelinearCode) -> dict[str, str | None]:
+    """generator_a, _b and _d of c's profile: None where c has no such generator."""
+    gens = c.generators
+    return {"generator_" + g: str(gens[g].vector) if g in gens else None for g in "abd"}

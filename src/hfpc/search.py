@@ -23,9 +23,9 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from math import comb
 
 from . import _backend
+from ._scan_py import _quaternion_rank, _rank
 from .families import (
     SEARCH_TAGS,
     Reject,
@@ -33,7 +33,7 @@ from .families import (
     assemble_quaternion_explicit,
 )
 from .gf2 import BitVector
-from .hadamard import CodeProfile, profile
+from .hadamard import CodeProfile, _generator_fields, profile
 from .propelinear import PropelinearCode
 
 __all__ = [
@@ -97,26 +97,14 @@ _QUATERNION_COUNTERS = (
 
 
 def candidate_count(tag: str, t: int) -> int:
-    """Exact size of the filtered candidate stream, by binomial convolution."""
-    if tag in ("4tu2", "2t22u", "2t4u"):
-        want = 1 if tag == "4tu2" else 0
-        return sum(
-            comb(2 * t, w) * comb(2 * t, 2 * t - w)
-            for w in range(2 * t + 1)
-            if w % 2 == want
-        )
+    """Exact size of the filtered candidate stream: its rank at the end of the
+    word range, as the scan kernels rank it for their examined counters."""
+    if tag in _FAMILY_CODE:
+        return _rank(1 << (4 * t), 2 * t, 1 if tag == "4tu2" else 0)
     if tag == "tqu":
         if t % 2 == 0:
             raise ValueError("quaternion family requires odd t")
-        total = 0
-        evens = range(0, t + 1, 2)
-        for w1 in evens:
-            for w2 in evens:
-                for w3 in evens:
-                    w4 = 2 * t - w1 - w2 - w3
-                    if 0 <= w4 <= t and w4 % 2 == 0:
-                        total += comb(t, w1) * comb(t, w2) * comb(t, w3) * comb(t, w4)
-        return total
+        return _quaternion_rank(1 << (4 * t), t)
     raise ValueError("no candidate stream for family %r" % tag)
 
 
@@ -215,13 +203,7 @@ def run_search(task: SearchTask, workers: int = 1) -> SearchResult:
         else:
             # identical code set: reuse the profile but report this candidate's
             # own generators
-            gens = code.generators
-            prof = replace(
-                prof,
-                generator_a=str(gens["a"].vector) if "a" in gens else None,
-                generator_b=str(gens["b"].vector) if "b" in gens else None,
-                generator_d=str(gens["d"].vector) if "d" in gens else None,
-            )
+            prof = replace(prof, **_generator_fields(code))
         accepted.append(
             AcceptedCode(task.family, task.t, cand, prof, key)
         )

@@ -8,12 +8,15 @@ whole 2^4t space, the candidate stream and the two-generator and
 quaternion scans by visiting every candidate with Gosper's hack, the scans'
 Hadamard filters by checking every pair of table words, the Hadamard matrix
 check by integer sums of products, the tqu power-survivor count by a
-convolution over strand weight signatures, with no join, the two-generator
-join table from every signature field of one necklace at a time, the tqu
-left-part tables one bit at a time, the tqu a-weight signatures on t-bit
-strands, the byte-table action perms.act by a loop over set bits, the
-int-word family constructors by the BitVector builder they replaced, and
-the CCHM doubling and conversion to a code on a +-1 matrix, block by block.
+convolution over strand weight signatures, with no join, the size of the
+candidate stream by binomial convolution, with no ranking, the generator
+derivations of hfpc.families on bit lists, one coordinate at a time, the
+two-generator join table from every signature field of one necklace at a
+time, the tqu left-part tables one bit at a time, the tqu a-weight
+signatures on t-bit strands, the byte-table action perms.act by a loop over
+set bits, the int-word family constructors by the BitVector builder they
+replaced, and the CCHM doubling and conversion to a code on a +-1 matrix,
+block by block.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from collections import Counter
 from functools import lru_cache
 from heapq import heappop, heappush, heapreplace
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
@@ -33,9 +36,6 @@ from hfpc.families import (
     Reject,
     assemble,
     assemble_quaternion_variants,
-    derive_a_from_d,
-    derive_b_from_a,
-    derive_b_from_a_quaternion,
     element_perms,
     family_perms,
     family_spec,
@@ -234,6 +234,43 @@ def quaternion_power_survivor_count(t: int) -> int:
     )
 
 
+def binomial_candidate_count(tag: str, t: int) -> int:
+    """Size of the filtered candidate stream by binomial convolution over the
+    weights of the two halves (two-generator families) or the four strands
+    (tqu), with no ranking."""
+    if tag in ("4tu2", "2t22u", "2t4u"):
+        want = 1 if tag == "4tu2" else 0
+        return sum(
+            comb(2 * t, w) * comb(2 * t, 2 * t - w)
+            for w in range(2 * t + 1)
+            if w % 2 == want
+        )
+    assert tag == "tqu" and t % 2 == 1
+    total = 0
+    evens = range(0, t + 1, 2)
+    for w1 in evens:
+        for w2 in evens:
+            for w3 in evens:
+                w4 = 2 * t - w1 - w2 - w3
+                if 0 <= w4 <= t and w4 % 2 == 0:
+                    total += comb(t, w1) * comb(t, w2) * comb(t, w3) * comb(t, w4)
+    return total
+
+
+@lru_cache(maxsize=None)
+def recursive_strand_words(p: int, w: int, par: int) -> int:
+    """_scan_py._strand_words by recursion over the bit positions, one at a
+    time: the top position p - 1 is either clear or set."""
+    if w < 0 or w > p:
+        return 0
+    if p == 0:
+        return 1 if par == 0 else 0
+    q = p - 1
+    return recursive_strand_words(q, w, par) + recursive_strand_words(
+        q, w - 1, par ^ (1 << (q & 3))
+    )
+
+
 def min_distance(c) -> int:
     """Exhaustive minimum pairwise distance."""
     _, vals = _values(c)
@@ -277,6 +314,76 @@ def apply_by_lowest_bit(p: Permutation, v: BitVector) -> BitVector:
 # The family constructors on BitVector words and PropelinearElement objects:
 # the reference that the int-word constructors of hfpc.families replaced.
 # ---------------------------------------------------------------------------
+
+
+def bitlist_derive_b_from_a(a: BitVector, tag: str, t: int) -> BitVector:
+    """families.derive_b_from_a on bit lists: the first half of b is the
+    running suffix sum of ahat = a + pi_b(a), one coordinate at a time."""
+    spec = family_spec(tag, t)
+    if spec.b_square_is_u is None:
+        raise ValueError("family %r has no derived generator b" % tag)
+    if a.n != spec.length:
+        raise ValueError("candidate length %d != %d" % (a.n, spec.length))
+    perms = family_perms(tag, t)
+    ahat = a ^ apply_by_lowest_bit(perms["b"], a)
+    ah = ahat.bits()[: 2 * t]
+    first = [0] * (2 * t)
+    for i in range(2 * t - 1, 0, -1):  # b_i = b_{i+1} + ahat_{i+1}, 1-based
+        first[i - 1] = first[i] ^ ah[i]
+    if spec.b_square_is_u:
+        second = [x ^ 1 for x in first]
+    else:
+        second = list(first)
+    return BitVector.from_bits(first + second)
+
+
+def bitlist_derive_a_from_d(d: BitVector, free_bits: tuple[int, int], t: int) -> BitVector:
+    """families.derive_a_from_d on bit lists: the first and third coordinate
+    of every 4-block telescoped from the free bits, block by block."""
+    spec = family_spec("tqu", t)
+    if d.n != spec.length:
+        raise ValueError("candidate length %d != %d" % (d.n, spec.length))
+    perms = family_perms("tqu", t)
+    what = (d ^ apply_by_lowest_bit(perms["a"], d)).bits()
+    f1, f3 = free_bits
+    pre1 = pre3 = 0
+    bits = [0] * (4 * t)
+    for i in range(1, t + 1):
+        pre1 ^= what[4 * i - 4]  # what_{4i-3}
+        pre3 ^= what[4 * i - 2]  # what_{4i-1}
+        a1 = f1 ^ pre1
+        a3 = f3 ^ pre3
+        bits[4 * i - 4 : 4 * i] = [a1, a1 ^ 1, a3, a3 ^ 1]
+    if pre1 or pre3:
+        raise ValueError("derivation inconsistent: d^t != e")
+    return BitVector.from_bits(bits)
+
+
+def bitlist_derive_b_from_a_quaternion(
+    a: BitVector, d: BitVector, free_bit: int, t: int
+) -> BitVector | None:
+    """families.derive_b_from_a_quaternion on bit lists: the first two
+    coordinates of every 4-block propagated from the seed, block by block,
+    against the case rule b_{4i-3} + b_{4i-2} = 1 + a_{4i-3} + a_{4i-1}."""
+    spec = family_spec("tqu", t)
+    if a.n != spec.length or d.n != spec.length:
+        raise ValueError("length mismatch")
+    perms = family_perms("tqu", t)
+    wtil = (d ^ apply_by_lowest_bit(perms["b"], d)).bits()
+    ab = a.bits()
+    seed1 = free_bit & 1
+    seed2 = seed1 ^ 1 ^ ab[4 * t - 4] ^ ab[4 * t - 2]
+    pre1 = pre2 = 0
+    bits = [0] * (4 * t)
+    for i in range(1, t + 1):
+        pre1 ^= wtil[4 * i - 4]  # wtil_{4i-3}
+        pre2 ^= wtil[4 * i - 3]  # wtil_{4i-2}
+        b1 = seed1 ^ pre1
+        b2 = seed2 ^ pre2
+        if b1 ^ b2 != 1 ^ ab[4 * i - 4] ^ ab[4 * i - 2]:
+            return None
+        bits[4 * i - 4 : 4 * i] = [b1, b2, b1 ^ 1, b2 ^ 1]
+    return BitVector.from_bits(bits)
 
 
 def _bitvector_cyclic_powers(
@@ -339,7 +446,7 @@ def _bitvector_two_generator(tag: str, t: int, a: BitVector) -> PropelinearCode 
     target = u if spec.cyclic_power_is_u else BitVector.zero(n)
     if endpoint != target:
         return Reject("order", "a^2t != %s" % ("u" if spec.cyclic_power_is_u else "e"))
-    b = derive_b_from_a(a, tag, t)
+    b = bitlist_derive_b_from_a(a, tag, t)
     if a ^ apply_by_lowest_bit(pa, b) != b ^ apply_by_lowest_bit(pb, a):
         return Reject("relation", "ab != ba")
     bsq = b ^ apply_by_lowest_bit(pb, b)
@@ -472,9 +579,9 @@ def bitvector_assemble_quaternion_variants(
     seen_sets: set[frozenset[int]] = set()
     for f1 in (0, 1):
         for f3 in (0, 1):
-            a = derive_a_from_d(d, (f1, f3), t)
+            a = bitlist_derive_a_from_d(d, (f1, f3), t)
             for seed in (0, 1):
-                b = derive_b_from_a_quaternion(a, d, seed, t)
+                b = bitlist_derive_b_from_a_quaternion(a, d, seed, t)
                 if b is None:
                     note(Reject("no_b", "case table contradicts propagation"))
                     continue

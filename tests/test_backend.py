@@ -7,12 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hfpc import _scan_py
-from hfpc.search import _partition, candidate_count
+from hfpc.search import _partition
 from helpers import (
     _power_survivors,
     _signature as helper_signature,
     _weight_range,
     all_weight_w,
+    binomial_candidate_count,
     candidate_stream,
     full_check_quaternion_variants,
     full_table_is_hadamard,
@@ -24,6 +25,7 @@ from helpers import (
     least_geq_with_weight,
     necklace_join_table,
     quaternion_power_survivor_count,
+    recursive_strand_words,
     strand_a_signature,
     survivor_scan_two_generator,
 )
@@ -311,7 +313,8 @@ def test_rank_counts_stream_candidates_below():
                     below += 1
     for tag, need_odd in (("4tu2", 1), ("2t4u", 0)):
         for t in range(1, 11):
-            assert _scan_py._rank(1 << (8 * t), 2 * t, need_odd) == candidate_count(tag, t)
+            want = binomial_candidate_count(tag, t)
+            assert _scan_py._rank(1 << (8 * t), 2 * t, need_odd) == want
 
 
 def _scan_partition(scan, t, chunks, first):
@@ -482,7 +485,12 @@ def test_quaternion_rank_counts_stream_candidates_below():
             if x.bit_count() == 2 * t and strands_even:
                 below += 1
     for t in range(1, 12, 2):
-        assert _scan_py._quaternion_rank(1 << (4 * t), t) == candidate_count("tqu", t)
+        assert _scan_py._quaternion_rank(1 << (4 * t), t) == binomial_candidate_count("tqu", t)
+    for p in range(41):
+        for w in range(-1, p + 2):
+            for par in range(16):
+                want = recursive_strand_words(p, w, par)
+                assert _scan_py._strand_words(p, w, par) == want, (p, w, par)
 
 
 def test_quaternion_b_derivation_and_relations_never_reject():

@@ -39,6 +39,9 @@ from helpers import (
     GENERATOR_B,
     _bitvector_finish_code,
     all_weight_w,
+    bitlist_derive_a_from_d,
+    bitlist_derive_b_from_a,
+    bitlist_derive_b_from_a_quaternion,
     bitvector_assemble,
     bitvector_assemble_quaternion_explicit,
     bitvector_assemble_quaternion_variants,
@@ -167,6 +170,63 @@ def test_mutating_family_perms_does_not_change_assembly():
         ]
         assert after.generators == before.generators
         assert family_perms(tag, t) != perms
+
+
+def _outcome(derive, *args):
+    """derive(*args), or the text of the ValueError it raises."""
+    try:
+        return derive(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_derivations_match_the_bit_list_oracles():
+    """derive_b_from_a on every word of the two-generator families with
+    4t <= 16; for tqu, every d with t <= 3 with all free bits, both seeds,
+    the derived a and an arbitrary one, and the d^t != e ValueError; seeded
+    words of every family at t = 5, 7 and 9; and the length errors."""
+    rng = random.Random(2302)
+    for tag in ("4tu2", "2t22u", "2t4u"):
+        for t in (1, 2, 3, 4, 5, 7, 9):
+            n = 4 * t
+            words = range(1 << n) if t <= 4 else [rng.getrandbits(n) for _ in range(2000)]
+            for x in words:
+                a = BitVector(n, x)
+                assert derive_b_from_a(a, tag, t) == bitlist_derive_b_from_a(a, tag, t), (tag, x)
+    outcomes = set()
+    for t in (1, 3, 5, 7, 9):
+        n = 4 * t
+        words = range(1 << n) if t <= 3 else [rng.getrandbits(n) for _ in range(500)]
+        for x in words:
+            d = BitVector(n, x)
+            a_words = []
+            for free_bits in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                a = _outcome(derive_a_from_d, d, free_bits, t)
+                assert a == _outcome(bitlist_derive_a_from_d, d, free_bits, t), (t, x)
+                if isinstance(a, str):
+                    outcomes.add(a)
+                else:
+                    a_words.append(a)
+            for a in a_words + [BitVector(n, rng.getrandbits(n))]:
+                for seed in (0, 1):
+                    b = derive_b_from_a_quaternion(a, d, seed, t)
+                    assert b == bitlist_derive_b_from_a_quaternion(a, d, seed, t), (t, x)
+                    outcomes.add(b is None)
+    assert outcomes == {"derivation inconsistent: d^t != e", True, False}
+    b_of_a, a_of_d = bitlist_derive_b_from_a, bitlist_derive_a_from_d
+    for derive, oracle, args in (
+        (derive_b_from_a, b_of_a, (V("1100"), "cyclic4tu", 1)),
+        (derive_b_from_a, b_of_a, (V("1100"), "2t4u", 2)),
+        (derive_a_from_d, a_of_d, (V("1100"), (0, 0), 3)),
+        (derive_a_from_d, a_of_d, (V("1100"), (0, 0), 2)),
+        (
+            derive_b_from_a_quaternion,
+            bitlist_derive_b_from_a_quaternion,
+            (V("0" * 12), V("1100"), 0, 3),
+        ),
+    ):
+        got = _outcome(derive, *args)
+        assert isinstance(got, str) and got == _outcome(oracle, *args)
 
 
 def test_derive_b_small_cases():

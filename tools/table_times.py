@@ -7,10 +7,14 @@
     python3 tools/table_times.py --scan tqu 9
 
 Imports ``hfpc`` from the ``src/`` beside this script.  ``--join H`` times
-``_scan_py._join_table(H)``, ``--quaternion T`` times
-``_scan_py._quaternion_tables(T)``, and ``--scan FAMILY T`` builds that
-cell's tables (the join table for 4tu2, 2t22u or 2t4u, the quaternion
-tables for tqu; timed as above), then times the scan kernel in all mode
+``_scan_py._join_table(H)``.  ``--quaternion T`` times
+``_scan_py._quaternion_tables(T)`` as ``quaternion_tables_s``, then as
+``class_tables_s`` the class tables that the scan otherwise fills in on
+first use: the right parts and their a-weight buckets of every left part's
+signature class, found by one walk over the left parts.  ``--scan FAMILY T``
+builds that cell's tables (the join table for 4tu2, 2t22u or 2t4u, the
+quaternion and class tables for tqu; timed as above), so that ``scan_s``
+covers the walk alone, then times the scan kernel in all mode
 over the whole range [0, 2^4t) in one ``search._scan_chunk`` call, then
 times as ``reverify_s`` what ``search.run_search`` does with the accepted
 items: re-assemble each through ``search._verify`` and profile each distinct
@@ -44,6 +48,20 @@ def timed(call, *args):
     return result, round(time.perf_counter() - start, 4)
 
 
+def class_tables(t: int) -> None:
+    """Fill in the tqu class tables over the whole word range: rights_for and
+    rights_by_a_for of every signature that a left part has."""
+    tab = _scan_py._quaternion_tables(t)
+    end = 1 << (4 * t)
+    for sig in dict.fromkeys(sig for _, sig in tab.lefts(0, end)):
+        tab.rights_by_a_for(sig, end)
+
+
+def quaternion_times(t: int, out: dict) -> None:
+    _, out["quaternion_tables_s"] = timed(_scan_py._quaternion_tables, t)
+    _, out["class_tables_s"] = timed(class_tables, t)
+
+
 def reverify(family: str, t: int, accepted: list) -> int:
     """run_search's loop after the scan: every accepted item re-assembled,
     one profile per distinct code set.  Returns the distinct count."""
@@ -68,11 +86,11 @@ def main() -> None:
     if args.join is not None:
         _, out["join_table_s"] = timed(_scan_py._join_table, args.join)
     if args.quaternion is not None:
-        _, out["quaternion_tables_s"] = timed(_scan_py._quaternion_tables, args.quaternion)
+        quaternion_times(args.quaternion, out)
     if args.scan:
         family, t = args.scan[0], int(args.scan[1])
         if family == "tqu":
-            _, out["quaternion_tables_s"] = timed(_scan_py._quaternion_tables, t)
+            quaternion_times(t, out)
         else:
             _, out["join_table_s"] = timed(_scan_py._join_table, 2 * t)
         (accepted, counters), out["scan_s"] = timed(
