@@ -31,11 +31,14 @@ part) add up to 2t in every field.
 Both Hadamard filters check row 0 first.  A table word's distance from
 e = 0 is its weight, so row 0 of the pairwise check asks that every table
 word weigh 2t, and almost every power survivor fails it within a few
-bit_counts; only the words that pass reach the full pairwise check,
-hadamard._orthogonal_rows on the table.  Row 0 is a subset of that check,
-so verdicts, counters and accepted order are those of the full check alone.
-Both filters take their generators from the derivations in families that
-the reference constructors use.
+bit_counts.  In the two-generator filter only the words that pass reach the
+full pairwise check, hadamard._orthogonal_rows on the table; row 0 is a
+subset of that check, so verdicts, counters and accepted order are those of
+the full check alone.  The quaternion filter stops at row 0: its table is a
+group code, and a propelinear code is distance-invariant, so row 0 decides
+the pairwise check (see _quaternion_variants).  Both filters take their
+generators from the derivations in families that the reference
+constructors use.
 
 - Two-generator: the weights wt(a^j + rot^j b) are checked as a^j and
   rot^j b are built, with an exit at the first wrong one.
@@ -51,7 +54,9 @@ the reference constructors use.
   order at the end.  A first-accept scan runs the same walk on aligned
   windows of doubling size and stops in the first window with an accept.
   The variants that pass go on to b, the relations and the rest of row 0
-  (wt(d^j + rot^j b) and wt(d^j + rot^j ab)).
+  (wt(d^j + rot^j b) and wt(d^j + rot^j ab), with wt d^j and
+  wt(d^j + rot^j a) checked again so that the filter decides any stream
+  word on its own).
   A visited d's counters are those of every word in its rot4 orbit, so one
   scan keeps a memo from each rejected orbit's least rotation to its
   counters and runs the variants of one d per rejected orbit; every d of an
@@ -488,21 +493,37 @@ def _quaternion_tables(t: int) -> _QuaternionTables:
 def _quaternion_variants(
     d: int, t: int, allowed: tuple[bool, bool], first_only: bool
 ) -> tuple[list[tuple[int, int, int]], int, int, int]:
-    """The four (f1, f3) variants of a power survivor d.
+    """The four (f1, f3) variants of a stream word d, decided on weights.
 
     allowed[f1 ^ f3] says whether the a-weight test lets the variant through;
     a variant it stops fails row 0 of the pairwise Hadamard check and is
     counted as rejected there.  The others derive a and b, check the
-    relations, the rest of row 0 (the weights of d^j * b and d^j * ab, one j
-    at a time with an exit at the first wrong one), then the code-set dedup
-    and the full pairwise Hadamard condition, hadamard._orthogonal_rows on
-    the 4t words d^j, d^j * a, d^j * b and d^j * ab.
+    relations, then row 0: the weights of the 4t - 1 words d^j (j >= 1),
+    d^j * a, d^j * b and d^j * ab, one j at a time with an exit at the first
+    wrong one, then the code-set dedup.
     Returns (accepted triples, rejected_no_b, rejected_relation,
     rejected_hadamard).
+
+    Row 0 decides the whole pairwise check, because the 8t words are the
+    elements of a group G = C_t x Q under x * y = x + pi_x(y) once these
+    relations hold, with pi_d = rot4, pi_a = pairswap and pi_b = nibswap
+    (commuting involutions and a rotation of order t):
+    - d^t = e: the word of d^t is the parity of each strand, and every
+      stream word has even strands;
+    - a^2 = u and b^2 = u: strands 2 and 0 of a are the complements of
+      strands 3 and 1, and strands 1 and 0 of b those of strands 3 and 2,
+      by the derivations in families, so x + pi(x) is all ones;
+    - da = ad, db = bd and aba = b: checked here, as rejected_relation.
+    A propelinear code is distance-invariant (Rifa, Basart and Huguet,
+    1989): x * C = C gives pi_x(C) = x + C, so d(x, y) = wt(x^-1 * y).  So
+    the words are pairwise at distance 2t, except complement pairs at 4t,
+    exactly when every word other than e and u weighs 2t, and the table
+    passes hadamard._orthogonal_rows exactly when it passes row 0.
     """
     n = 4 * t
     w = 2 * t
     full = (1 << n) - 1
+    top = n - 4  # rot4 moves the low nibble here
     s3, s2, s1, _ = _strand_masks(t)
     odd = s3 | s1  # odd bit positions, for the pair swap
     even = odd >> 1
@@ -510,7 +531,7 @@ def _quaternion_variants(
     low = high >> 2
 
     def rot4(x: int) -> int:
-        return (x >> 4) | ((x & 15) << (n - 4))
+        return (x >> 4) | ((x & 15) << top)
 
     def pairswap(x: int) -> int:
         return ((x & odd) >> 1) | ((x & even) << 1)
@@ -523,14 +544,16 @@ def _quaternion_variants(
     powers = [0] * t
     t_tab = [0] * n
     cur = d
+    powers_ok = True  # the rows d^j, j >= 1, which no variant changes
     for j in range(1, t):
         powers[j] = cur
+        powers_ok = powers_ok and cur.bit_count() == w
         cur = d ^ rot4(cur)
 
     pd = pairswap(d)
     nd = nibswap(d)
     a_words = _quaternion_as(d, t)
-    seen: set[tuple[int, ...]] = set()
+    seen: set[frozenset[int]] = set()
     # flip is f1 ^ f3 of the variants (f1, f3) = 00, 01, 10, 11; b has seed 0,
     # as its seed-1 twin b + u generates the same code
     for flip, a, b in zip((0, 1, 1, 0), a_words, _quaternion_bs(d, t, a_words)):
@@ -548,35 +571,36 @@ def _quaternion_variants(
         ):
             rej_rel += 1
             continue
+        if not powers_ok:
+            rej_had += 1
+            continue
         rqa, rqb, rqab = a, b, ab
         ok = True
         for j in range(t):
             base = 4 * j
             pj = powers[j]
+            xa = pj ^ rqa
             xb = pj ^ rqb
             xab = pj ^ rqab
-            if xb.bit_count() != w or xab.bit_count() != w:
+            if xb.bit_count() != w or xab.bit_count() != w or xa.bit_count() != w:
                 ok = False
                 break
             t_tab[base] = pj
-            t_tab[base + 1] = pj ^ rqa
+            t_tab[base + 1] = xa
             t_tab[base + 2] = xb
             t_tab[base + 3] = xab
-            rqa = rot4(rqa)
-            rqb = rot4(rqb)
-            rqab = rot4(rqab)
+            # rot4, written out: this loop is the scan's inner loop
+            rqa = (rqa >> 4) | ((rqa & 15) << top)
+            rqb = (rqb >> 4) | ((rqb & 15) << top)
+            rqab = (rqab >> 4) | ((rqab & 15) << top)
         if not ok:
             rej_had += 1
             continue
-        # the same rows up to complement have the same distances, so a
-        # code set seen before passed the full check and is skipped here
-        sig = tuple(sorted(min(x, x ^ full) for x in t_tab))
-        if sig in seen:
+        # a variant whose code set was seen before is skipped
+        code = frozenset(t_tab).union(map(full.__xor__, t_tab))
+        if code in seen:
             continue
-        if not _orthogonal_rows(t_tab, n):
-            rej_had += 1
-            continue
-        seen.add(sig)
+        seen.add(code)
         accepted.append((d, a, b))
         if first_only:
             return accepted, rej_nob, rej_rel, rej_had

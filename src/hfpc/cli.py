@@ -25,8 +25,8 @@ from .cchm import (
     is_cchm,
 )
 from .families import SEARCH_TAGS, Reject, assemble, assemble_quaternion_explicit
-from .gf2 import BitVector
-from .hadamard import BoundViolation, is_hadamard_code, kernel, profile, rank
+from .gf2 import BitVector, _echelon, _reduced_basis
+from .hadamard import BoundViolation, _is_hadamard_words, _kernel, _values, profile
 from .search import (
     DEEP_GATE,
     SearchTask,
@@ -183,13 +183,13 @@ def cmd_cchm(args, parser: _Parser) -> int:
         except NotCCHM as exc:
             sys.stderr.write("not a CCHM row: %s\n" % exc)
             return 1
-        t = code[0].n // 4
+        n, vals = _values(code)
         out = {
-            "length": code[0].n,
-            "size": len(code),
-            "is_hadamard_code": is_hadamard_code(code, t),
-            "rank": rank(code),
-            "kernel_dim": kernel(code)[1],
+            "length": n,
+            "size": len(vals),
+            "is_hadamard_code": _is_hadamard_words(n, vals, n // 4),
+            "rank": len(_echelon(vals)),
+            "kernel_dim": len(_reduced_basis(_kernel(vals))),
             "codewords": [str(v) for v in code],
         }
         _dump(out, sys.stdout)

@@ -42,8 +42,10 @@ def _orthogonal_rows(masks: Sequence[int], n: int) -> bool:
     entries, are pairwise orthogonal.  The inner product of rows i and j is
     n - 2 wt(m_i + m_j): one popcount per pair replaces n products.  As
     binary words, the masks are then pairwise at distance n/2.  This is the
-    package's one pairwise distance check: the matrix and code verdicts and
-    both Hadamard filters of the scan call it."""
+    package's one pairwise distance check: the matrix and code verdicts, the
+    CCHM conversion and the two-generator filter of the scan call it.  The
+    quaternion filter of the scan needs none: its group code is
+    distance-invariant, so the weights decide."""
     for i, mi in enumerate(masks):
         for mj in masks[i + 1 :]:
             if 2 * (mi ^ mj).bit_count() != n:
@@ -108,11 +110,19 @@ def kernel(c: Iterable[BitVector]) -> tuple[BitMatrix, int]:
 
 def _kernel(vals: Sequence[int]) -> list[int]:
     """The members of K(C), a subspace.  Assumes e is a codeword, which forces
-    K(C) into C, so only translations by codewords are tested."""
+    K(C) into C, so only translations by codewords are tested.  Two probes
+    z + c1 and z + c2, for codewords c1, c2 other than e and the largest word
+    (u, when C holds it), reject almost every z before the full test."""
     vset = set(vals)
     if 0 not in vset:
         raise ValueError("kernel requires the all-zero codeword")
-    return [z for z in vset if vset.issuperset(map(z.__xor__, vset))]
+    top = max(vset)
+    c1, c2, *_ = [c for c in vals if c and c != top][:2] + [0, 0]
+    return [
+        z
+        for z in vset
+        if z ^ c1 in vset and z ^ c2 in vset and vset.issuperset(map(z.__xor__, vset))
+    ]
 
 
 def rank(c: Iterable[BitVector]) -> int:

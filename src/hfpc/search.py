@@ -1,6 +1,6 @@
 """Pruned exhaustive search over generator candidates, with deterministic
-parallelism, one profile per distinct code set, and reproduction of the
-results table.
+parallelism, one profile per translate class of codes, and reproduction of
+the results table.
 
 The raw candidate space for (family, t) is the integer interval [0, 2^4t) in
 the BitVector layout; the candidate stream is its ascending subset of
@@ -13,16 +13,22 @@ Accepted candidates are re-assembled through the reference constructors in
 hfpc.families before being reported, which cross-checks the scan kernels;
 re-assembly and profiling work on int words, and the Hadamard verdict of
 each re-assembled code is computed once, by the constructor, and reused by
-the profile.
+the profile.  Every accepted code C is propelinear, so pi_x(C) = x + C for
+each codeword x: the image of C under pi_g^m, g the searched generator, is
+a translate of C by a codeword, with the rank and kernel of C, and the
+search profiles one code per such class of translates.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import struct
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from operator import itemgetter, xor
+from typing import Iterable
 
 from . import _backend
 from ._scan_py import _quaternion_rank, _rank
@@ -31,6 +37,7 @@ from .families import (
     Reject,
     assemble,
     assemble_quaternion_explicit,
+    element_labels,
 )
 from .gf2 import BitVector
 from .hadamard import CodeProfile, _generator_fields, profile
@@ -157,8 +164,69 @@ def _verify(family: str, t: int, item) -> PropelinearCode:
     return code
 
 
+def _power_positions(family: str, t: int) -> tuple[int, ...]:
+    """Positions in element order of the words of g^0 .. g^P, for the searched
+    generator g (d for tqu, a otherwise) and P = t or 2t, the order of pi_g;
+    g^P is u for 4tu2 and e otherwise."""
+    labels = element_labels(family, t)
+    period = t if family == "tqu" else 2 * t
+    end = (0, 0, 1) if family == "4tu2" else (0, 0, 0)
+    return tuple(map(labels.index, [(k, 0, 0) for k in range(period)] + [end]))
+
+
+def _translate_key(code: PropelinearCode, powers: itemgetter) -> bytes | tuple[int, ...]:
+    """A key of the code set C + w, equal for all translates of C that the
+    search meets, with w the word of a power of g; powers picks the words
+    w_0 .. w_P of g^0 .. g^P from code.values.
+
+    C is propelinear, so pi_x(C) = x + C for each codeword x, and
+    pi_g^k(g) = w_k + w_{k+1}.  The pi_g^m-image of (C, g) is (w_m + C,
+    pi_g^m(g)): its words w'_k are w_m + w_{m+k}, so its sequence
+    pi_g^k(g) is that of C shifted by m (indices mod P: w_{k+P} is w_k, or
+    w_k + u for 4tu2, and C + u = C).  When its least word occurs once, k*
+    lands on the same power of g and both keys are C + w_{k*}; a tie can
+    only split a class, which costs a profile, not a wrong one.  A key is
+    only ever shared by translates C + x with x in C, and those have the
+    span and the kernel of C, as 0 is in C.  The key is the sorted words,
+    packed 8 bytes each while they fit.
+    """
+    ws = powers(code.values)
+    steps = list(map(xor, ws, ws[1:]))  # pi_g^k(g), k < P
+    w = ws[steps.index(min(steps))]
+    words = sorted(map(w.__xor__, code.values))
+    return struct.pack("%dQ" % len(words), *words) if code.length <= 64 else tuple(words)
+
+
+def _accepted_codes(
+    family: str, t: int, codes: Iterable[PropelinearCode]
+) -> tuple[list[AcceptedCode], int]:
+    """The report of each re-assembled code, in order, and the number of
+    profiles computed: one per translate class (see _translate_key).  A code
+    whose class was profiled before gets that profile with its own
+    generator fields, the bytes profile(code) would give."""
+    accepted: list[AcceptedCode] = []
+    profile_cache: dict[bytes | tuple[int, ...], CodeProfile] = {}
+    searched = "d" if family == "tqu" else "a"
+    powers = itemgetter(*_power_positions(family, t))
+    for code in codes:
+        key = _translate_key(code, powers)
+        prof = profile_cache.get(key)
+        if prof is None:
+            prof = profile_cache[key] = profile(code)
+        else:
+            prof = replace(prof, **_generator_fields(code))
+        cand = str(code.generators[searched].vector)
+        accepted.append(AcceptedCode(family, t, cand, prof, code.vector_values))
+    return accepted, len(profile_cache)
+
+
 def run_search(task: SearchTask, workers: int = 1) -> SearchResult:
     """Scan the candidate space; accepted candidates are re-assembled and profiled.
+
+    Each accepted candidate is re-assembled and fully checked by the
+    reference constructor; the profile, with its asserted bounds, is computed
+    once per class of codes that are translates of each other by a codeword
+    (pi_x(C) = x + C; see _translate_key) and shared within the class.
 
     Output (accepted order, counters) is independent of the worker count: in
     mode "all" counters are sums over an exact partition, and mode "first"
@@ -189,24 +257,8 @@ def run_search(task: SearchTask, workers: int = 1) -> SearchResult:
             counters[name] += val
         accepted_raw.extend(acc)
 
-    accepted: list[AcceptedCode] = []
-    profile_cache: dict[frozenset[int], CodeProfile] = {}
-    searched = "d" if task.family == "tqu" else "a"
-    for item in accepted_raw:
-        code = _verify(task.family, task.t, item)
-        cand = str(code.generators[searched].vector)
-        key = code.vector_values
-        prof = profile_cache.get(key)
-        if prof is None:
-            prof = profile(code)
-            profile_cache[key] = prof
-        else:
-            # identical code set: reuse the profile but report this candidate's
-            # own generators
-            prof = replace(prof, **_generator_fields(code))
-        accepted.append(
-            AcceptedCode(task.family, task.t, cand, prof, key)
-        )
+    codes = (_verify(task.family, task.t, item) for item in accepted_raw)
+    accepted, _ = _accepted_codes(task.family, task.t, codes)
     counters["accepted"] = len(accepted)
     return SearchResult(
         family=task.family,

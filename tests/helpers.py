@@ -118,6 +118,13 @@ def kernel_all_words(vectors) -> set[int]:
     return {z for z in range(1 << n) if all(x ^ z in vals for x in vals)}
 
 
+def translate_kernel(vals) -> list[int]:
+    """The members of K(C), 0 in C: every codeword z with C + z = C, each
+    tested on every translate (hfpc.hadamard._kernel with no probes)."""
+    vset = set(vals)
+    return [z for z in vset if vset.issuperset(map(z.__xor__, vset))]
+
+
 def full_pairwise_is_hadamard_code(c, t: int) -> bool:
     """hfpc.hadamard.is_hadamard_code comparing all C(8t, 2) pairs of words."""
     n, vals = _values(c)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from functools import cache
 
 from hypothesis import given
@@ -596,3 +597,37 @@ def test_quaternion_walk_runs_variants_once_per_rejected_orbit(monkeypatch):
         accepted, _ = _scan_py.scan_quaternion(7, 0, 1 << 28)
     assert len(accepted) == 840
     assert len(calls) == len(set(calls)) == 1_564
+
+
+def test_quaternion_variants_accept_on_weights(monkeypatch):
+    # the scan decides a d on the weights of its 4t - 1 rows other than e;
+    # it must give the verdicts and counters of the full pairwise table
+    # check, in both modes: on every survivor visited at t <= 7, and on 2,000
+    # seeded calls of a walk over the range below 2^31 at t = 9 and below
+    # the first accepted d at t = 11, each with the walk's a-weight flags
+    rng = random.Random(2024)
+    cases = []
+    for t in (1, 3, 5, 7):
+        tab = _scan_py._quaternion_tables(t)
+        words = _visited_survivors(tab, list(tab.lefts(0, 1 << (4 * t))))
+        cases += [(t, d, _a_weight_flags(tab, d)) for d in words]
+    variants = _scan_py._quaternion_variants
+    for t, hi in ((9, 1 << 31), (11, 228_694_750_036)):
+        calls = []
+
+        def recorded(d, t, allowed, first_only):
+            calls.append((t, d, allowed))
+            return variants(d, t, allowed, first_only)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_scan_py, "_quaternion_variants", recorded)
+            _scan_py.scan_quaternion(t, 0, hi)
+        assert len(calls) > 2_000, t
+        cases += rng.sample(calls, 2_000)
+    accepts = Counter()
+    for t, d, allowed in cases:
+        for first in (False, True):
+            got = variants(d, t, allowed, first)
+            assert got == full_check_quaternion_variants(d, t, allowed, first), (t, d)
+        accepts[t] += bool(got[0])
+    assert all(accepts[t] for t in (3, 5, 7, 9, 11)), accepts

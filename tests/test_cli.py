@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import io
 import json
+import random
 from contextlib import redirect_stderr, redirect_stdout
+from math import gcd
 
+from hfpc.cchm import QuaternaryRow, cchm_to_code
 from hfpc.cli import main
-from helpers import GENERATOR_A, GENERATOR_B, ORDER16_ROW_A
+from hfpc.hadamard import is_hadamard_code, kernel, rank
+from helpers import GENERATOR_A, GENERATOR_B, ORDER16_ROW_A, ORDER16_ROW_B
 
 
 def run_cli(*argv):
@@ -239,3 +243,30 @@ def test_parser_is_built_once_and_carries_nothing_between_calls(monkeypatch):
         assert len(built) == 1
     finally:
         cli_mod.build_parser.cache_clear()
+
+
+def test_cchm_to_code_reports_the_checks_of_the_codewords():
+    # the report from one int list equals the public checks on the codeword
+    # vectors, for both order-16 rows and 10 seeded images of each
+    rng = random.Random(186)
+    rows = [QuaternaryRow.parse(r) for r in (ORDER16_ROW_A, ORDER16_ROW_B)]
+    for row in list(rows):
+        c = row.exponents
+        n = len(c)
+        for _ in range(10):
+            m = rng.choice([m for m in range(1, n) if gcd(m, n) == 1])
+            eps, s, g = rng.choice((1, -1)), rng.randrange(n), rng.randrange(4)
+            rows.append(QuaternaryRow(tuple((eps * c[(m * j + s) % n] + g) % 4 for j in range(n))))
+    for row in rows:
+        code, out, _ = run_cli("cchm", "to-code", "--row=%s" % row)
+        assert code == 0, row
+        vecs = cchm_to_code(row)
+        want = {
+            "length": vecs[0].n,
+            "size": len(vecs),
+            "is_hadamard_code": is_hadamard_code(vecs, vecs[0].n // 4),
+            "rank": rank(vecs),
+            "kernel_dim": kernel(vecs)[1],
+            "codewords": [str(v) for v in vecs],
+        }
+        assert out == json.dumps(want) + "\n", row

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from hfpc import hadamard
+from hfpc import hadamard, search
 from hfpc.families import Reject, assemble
-from hfpc.gf2 import BitVector
+from hfpc.gf2 import BitVector, _echelon, _reduced_basis
 from hfpc.propelinear import PropelinearCode, PropelinearElement
 from hfpc.search import SearchTask, run_search
 from hfpc.hadamard import (
@@ -33,6 +33,7 @@ from helpers import (
     rank_by_span,
     rebuild_code,
     span_of,
+    translate_kernel,
 )
 
 V = BitVector.from_string
@@ -246,6 +247,39 @@ def test_kernel_matches_exhaustive_oracle(accepted_pool):
             basis, k = kernel(vecs)
             assert span_of([r.value for r in basis.rows]) == kernel_all_words(vecs)
             assert 1 << k == len(kernel_all_words(vecs))
+
+
+def test_kernel_probes_keep_the_members(accepted_pool):
+    # the probes z + c1, z + c2 only skip a full test that would fail: the
+    # same members, in the same order, as testing every translate (the
+    # definition, as z + C = C puts z = z + 0 in C), on every accepted code
+    # with t <= 5 and on 200 seeded codes each of tqu t = 7 and 2t4u t = 8;
+    # test_kernel_matches_exhaustive_oracle checks all of F^n for n <= 16
+    rng = random.Random(1115)
+    codes = [rebuild_code(a) for result in accepted_pool.values() for a in result.accepted]
+    for tag, t in (("tqu", 7), ("2t4u", 8)):
+        items, _ = search._scan_chunk((tag, t, 0, 1 << (4 * t), False))
+        codes += [search._verify(tag, t, item) for item in rng.sample(items, 200)]
+    dims = set()
+    for code in codes:
+        members = hadamard._kernel(code.values)
+        assert members == translate_kernel(code.values), code.values
+        dims.add((code.t, len(_reduced_basis(members))))
+    assert {(7, 1), (8, 1), (8, 2)} <= dims, dims
+
+
+def test_rank_and_kernel_are_invariant_under_translation_by_a_codeword(accepted_pool):
+    # x + C has the span and the kernel of C for x in C, as 0 is in C: the
+    # fact behind run_search's one profile per translate class
+    for (tag, t), result in accepted_pool.items():
+        if t > 4:
+            continue
+        for acc in result.accepted:
+            vals = rebuild_code(acc).values
+            rk = (len(_echelon(vals)), _reduced_basis(hadamard._kernel(vals)))
+            for x in vals:
+                moved = [x ^ v for v in vals]
+                assert (len(_echelon(moved)), _reduced_basis(hadamard._kernel(moved))) == rk
 
 
 def test_kernel_tests_every_translate():

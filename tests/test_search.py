@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+from collections import Counter
 from math import comb
 
 import pytest
 
+from hfpc import _scan_py, hadamard, search
 from hfpc.gf2 import BitVector
+from hfpc.hadamard import profile
 from hfpc.search import (
     DEEP_GATE,
     SearchTask,
@@ -19,6 +22,7 @@ from helpers import (
     all_weight_w,
     brute_force_accepted,
     candidate_stream,
+    rebuild_code,
 )
 
 V = BitVector.from_string
@@ -279,6 +283,50 @@ def test_dedup():
     for cands in by_set.values():
         comps = {str(V(c).complement()) for c in cands}
         assert comps == set(cands)
+
+
+def test_one_profile_per_translate_class(monkeypatch):
+    # run_search profiles one code per class of translates x + C and gives
+    # the others that profile with their own generators: every report must
+    # equal the direct profile of its code, with the profile counts pinned
+    pinned = {("tqu", 3): 8, ("tqu", 5): 24, ("tqu", 7): 120, ("2t4u", 8): 96}
+    cells = [("tqu", 3), ("tqu", 5), ("tqu", 7), ("2t22u", 4), ("4tu2", 1), ("4tu2", 2)]
+    cells += [("2t4u", t) for t in (1, 2, 4, 8)]
+    calls = []
+
+    def counted(code):
+        calls.append(code)
+        return profile(code)
+
+    monkeypatch.setattr(search, "profile", counted)
+    for tag, t in cells:
+        calls.clear()
+        res = run_search(SearchTask(tag, t, mode="all"))
+        assert res.accepted, (tag, t)
+        assert len(calls) <= res.distinct_code_sets, (tag, t)
+        assert len(calls) == pinned.get((tag, t), len(calls)), (tag, t)
+        for acc in res.accepted:
+            assert acc.profile == profile(rebuild_code(acc)), (tag, t, acc.candidate)
+
+
+def test_quaternion_pairwise_check_runs_in_the_reverifier_only(monkeypatch):
+    # the tqu scan accepts on weights; the reference constructor still runs
+    # the pairwise check on every accepted code
+    pairwise = hadamard._orthogonal_rows
+    calls = Counter()
+
+    def counted(where):
+        def check(masks, n):
+            calls[where] += 1
+            return pairwise(masks, n)
+
+        return check
+
+    monkeypatch.setattr(_scan_py, "_orthogonal_rows", counted("scan"))
+    monkeypatch.setattr(hadamard, "_orthogonal_rows", counted("reverify"))
+    res = run_search(SearchTask("tqu", 5, mode="all"))
+    assert len(res.accepted) == 120
+    assert calls == {"reverify": 120}
 
 
 def test_filter_soundness_small():

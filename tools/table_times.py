@@ -16,13 +16,14 @@ builds that cell's tables (the join table for 4tu2, 2t22u or 2t4u, the
 quaternion and class tables for tqu; timed as above), so that ``scan_s``
 covers the walk alone, then times the scan kernel in all mode
 over the whole range [0, 2^4t) in one ``search._scan_chunk`` call, then
-times as ``reverify_s`` what ``search.run_search`` does with the accepted
-items: re-assemble each through ``search._verify`` and profile each distinct
-code set.  Each stage is timed
+what ``search.run_search`` does with the accepted items, in two stages:
+``verify_s`` re-assembles each through ``search._verify``, and ``profile_s``
+runs ``search._accepted_codes`` on those codes, which profiles one code per
+translate class (``profiles`` of them).  Each stage is timed
 with ``perf_counter`` around it, so run one invocation per measurement: the
 tables are memoised for the life of the process.  Prints one JSON object
-with the times in seconds, the scan counters, the accepted and distinct
-counts, and ``ru_maxrss`` in MB at the end.
+with the times in seconds, the scan counters, the accepted, profiled and
+distinct counts, and ``ru_maxrss`` in MB at the end.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hfpc import _scan_py, search  # noqa: E402
 from hfpc.families import SEARCH_TAGS  # noqa: E402
-from hfpc.hadamard import profile  # noqa: E402
 
 
 def timed(call, *args):
@@ -60,18 +60,6 @@ def class_tables(t: int) -> None:
 def quaternion_times(t: int, out: dict) -> None:
     _, out["quaternion_tables_s"] = timed(_scan_py._quaternion_tables, t)
     _, out["class_tables_s"] = timed(class_tables, t)
-
-
-def reverify(family: str, t: int, accepted: list) -> int:
-    """run_search's loop after the scan: every accepted item re-assembled,
-    one profile per distinct code set.  Returns the distinct count."""
-    profiled = set()
-    for item in accepted:
-        code = search._verify(family, t, item)
-        if code.vector_values not in profiled:
-            profiled.add(code.vector_values)
-            profile(code)
-    return len(profiled)
 
 
 def main() -> None:
@@ -98,7 +86,13 @@ def main() -> None:
         )
         out["counters"] = list(counters)
         out["accepted"] = len(accepted)
-        out["distinct"], out["reverify_s"] = timed(reverify, family, t, accepted)
+        codes, out["verify_s"] = timed(
+            list, (search._verify(family, t, item) for item in accepted)
+        )
+        (reports, out["profiles"]), out["profile_s"] = timed(
+            search._accepted_codes, family, t, codes
+        )
+        out["distinct"] = len({r.vector_values for r in reports})
     out["ru_maxrss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
     print(json.dumps(out))
 
