@@ -28,17 +28,17 @@ stream word passes the power filter exactly when the signature of its
 strands 3 and 2 (the left part) and that of its strands 1 and 0 (the right
 part) add up to 2t in every field.
 
-Both Hadamard filters check row 0 first.  A table word's distance from
+Both Hadamard filters decide on row 0.  A table word's distance from
 e = 0 is its weight, so row 0 of the pairwise check asks that every table
 word weigh 2t, and almost every power survivor fails it within a few
-bit_counts.  In the two-generator filter only the words that pass reach the
-full pairwise check, hadamard._orthogonal_rows on the table; row 0 is a
-subset of that check, so verdicts, counters and accepted order are those of
-the full check alone.  The quaternion filter stops at row 0: its table is a
-group code, and a propelinear code is distance-invariant, so row 0 decides
-the pairwise check (see _quaternion_variants).  Both filters take their
-generators from the derivations in families that the reference
-constructors use.
+bit_counts.  Row 0 is also the whole check: once the family's relations
+hold, the table words are the elements of a propelinear code, so
+pi_x(C) = x + C and d(x, y) = wt(x^-1 * y) (Rifa, Basart and Huguet,
+1989), and the weights give every distance (see _is_hadamard and
+_quaternion_variants).  Neither filter has a pairwise loop; the reference
+constructors that re-assemble each accepted code in search still run the
+full check.  Both filters take their generators from the derivations in
+families that the reference constructors use.
 
 - Two-generator: the weights wt(a^j + rot^j b) are checked as a^j and
   rot^j b are built, with an exit at the first wrong one.
@@ -71,21 +71,18 @@ search.candidate_count is the rank of the end of the word range.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import lru_cache
+from functools import cache
 from itertools import compress, islice
 from math import comb
 from operator import itemgetter
 from sys import byteorder
 
-from .families import _companion_b, _prefix_xor, _quaternion_as, _quaternion_bs, _strand_masks
-from .hadamard import _orthogonal_rows
+from .families import _companion_b, _quaternion_a00, _quaternion_as, _quaternion_bs, _strand_masks
 
 __all__ = ["scan_two_generator", "scan_quaternion"]
 
 
 _FIELD = 6  # bits per weight in a packed signature; weights are at most 2t < 64
-
-_JOIN_TABLES: dict[int, tuple] = {}  # h -> _join_table(h), built on first use
 
 
 def _signatures(words, h: int, fields: int, width: int):
@@ -140,6 +137,7 @@ def _necklaces(h: int):
             yield word
 
 
+@cache
 def _join_table(h: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Every h-bit half-word (top) that has a partner, ascending, with its
     partners ascending and a turn k that takes it to its necklace rotr^k(top).
@@ -147,26 +145,23 @@ def _join_table(h: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], t
     S_j commutes with rotation, so all rotations of a half-word share its
     signature: one signature per necklace suffices to build the table.
     """
-    table = _JOIN_TABLES.get(h)
-    if table is None:
-        mask = (1 << h) - 1
-        width = h.bit_length()
-        full = sum(h << (width * j) for j in range(h // 2))
-        necks, keys = _signatures(_necklaces(h), h, h // 2, width)
-        present = set(keys)
-        joined = {k for k in present if full - k in present}
-        rots: dict[int, dict[int, int]] = {}  # signature -> {top: turn}
-        for key, r in compress(zip(keys, necks), map(joined.__contains__, keys)):
-            rots.setdefault(key, {}).update({(r << k | r >> (h - k)) & mask: k for k in range(h)})
-        turn: dict[int, int] = {}
-        lows: dict[int, tuple[int, ...]] = {}  # top -> its class's partners
-        for key, rot in rots.items():
-            turn.update(rot)
-            lows.update(dict.fromkeys(rot, tuple(sorted(rots[full - key]))))
-        tops = tuple(sorted(turn))
-        partners = tuple(map(lows.__getitem__, tops))
-        table = _JOIN_TABLES[h] = (tops, partners, tuple(map(turn.__getitem__, tops)))
-    return table
+    mask = (1 << h) - 1
+    width = h.bit_length()
+    full = sum(h << (width * j) for j in range(h // 2))
+    necks, keys = _signatures(_necklaces(h), h, h // 2, width)
+    present = set(keys)
+    joined = {k for k in present if full - k in present}
+    rots: dict[int, dict[int, int]] = {}  # signature -> {top: turn}
+    for key, r in compress(zip(keys, necks), map(joined.__contains__, keys)):
+        rots.setdefault(key, {}).update({(r << k | r >> (h - k)) & mask: k for k in range(h)})
+    turn: dict[int, int] = {}
+    lows: dict[int, tuple[int, ...]] = {}  # top -> its class's partners
+    for key, rot in rots.items():
+        turn.update(rot)
+        lows.update(dict.fromkeys(rot, tuple(sorted(rots[full - key]))))
+    tops = tuple(sorted(turn))
+    partners = tuple(map(lows.__getitem__, tops))
+    return tops, partners, tuple(map(turn.__getitem__, tops))
 
 
 def _count_below(x: int, bits: int, w: int) -> int:
@@ -199,17 +194,27 @@ def _rank(x: int, h: int, need_odd: int) -> int:
 
 
 def _is_hadamard(a: int, h: int, b_compl: bool) -> bool:
-    """The scan's Hadamard filter on a power survivor a.
+    """The scan's Hadamard filter on a power survivor a, decided on weights:
+    b from families._companion_b, then wt(a^j * b) = wt(a^j + rot^j b) =
+    2t for j < 2t, checked as each j is built, with an exit at the first
+    wrong one.
 
-    Takes the companion generator b from families._companion_b, then checks
-    that the words a^j and a^j * b = a^j + rot^j b are pairwise at distance
-    2t.  Row 0 goes first: the distance from a^0 = 0 to a^j * b is its
-    weight, checked as each j is built, with an exit at the first wrong one
-    (the a^j have weight 2t by the power filter).  Only a candidate that
-    passes row 0 reaches the full pairwise check, hadamard._orthogonal_rows
-    on the 4t words.
+    This row 0 decides the pairwise check.  With pi_a = rot and pi_b the
+    half swap, the 8t words a^j b^k u^l form a group under
+    x * y = x + pi_x(y) once ab = ba, and b^2 and a^2t are e or u; these
+    hold for every survivor:
+    - ab = ba: it makes each half of b a suffix xor of hi + lo, which closes
+      exactly when wt hi and wt lo have one parity, as a survivor's halves
+      weighing w and 2t - w do;
+    - b^2: _companion_b makes the halves of b equal or complementary;
+    - a^2t: S_2t of a half is 0 or all ones by the stream's weight parity.
+    A propelinear code is distance-invariant (Rifa, Basart and Huguet,
+    1989): pi_x(C) = x + C, so d(x, y) = wt(x^-1 * y).  The power filter
+    and row 0 give every word other than e and u weight 2t (a^j u and
+    a^j b u are complements), so the words are pairwise at distance 2t
+    except complement pairs at 4t; two elements with one word would make a
+    weight-0 element other than e, which row 0 rejects.
     """
-    n = 2 * h
     mh = (1 << h) - 1
     b = _companion_b(a, h // 2, b_compl)
 
@@ -217,18 +222,14 @@ def _is_hadamard(a: int, h: int, b_compl: bool) -> bool:
     # half, move each half's lowest bit (ends) to its top
     keep = ((mh >> 1) << h) | (mh >> 1)
     ends = (1 << h) | 1
-    d_tab = [0] * n  # a^j at j, a^j * b at h + j
     cur = 0
     rb = b
-    for j in range(h):
-        ab = cur ^ rb
-        if ab.bit_count() != h:
+    for _ in range(h):
+        if (cur ^ rb).bit_count() != h:
             return False
-        d_tab[j] = cur
-        d_tab[h + j] = ab
         cur = a ^ (((cur >> 1) & keep) | ((cur & ends) << (h - 1)))
         rb = ((rb >> 1) & keep) | ((rb & ends) << (h - 1))
-    return _orthogonal_rows(d_tab, n)
+    return True
 
 
 def scan_two_generator(
@@ -282,10 +283,7 @@ def scan_two_generator(
 # bit k.  The left part of a word is its strands 3 and 2, the right part its
 # strands 1 and 0, each kept in place.
 
-_QUATERNION_TABLES: dict[int, "_QuaternionTables"] = {}
-
-
-@lru_cache(maxsize=None)
+@cache
 def _strand_words(p: int, w: int, par: int) -> int:
     """Words on bit positions [0, p) of weight w whose strand parities are par.
 
@@ -338,8 +336,8 @@ class _QuaternionTables:
 
     def __init__(self, t: int):
         self.t = t
-        self.rmask = int("0011" * t, 2)
-        self.s3 = int("1000" * t, 2)  # strand 3; strand r is s3 >> (3 - r)
+        _, _, s1, s0 = _strand_masks(t)
+        self.rmask = s1 | s0
         sp = self.spread = [0] * (1 << t)  # bit k of s -> bit 4k
         for s in range(1, 1 << t):
             sp[s] = sp[s >> 1] << 4 | s & 1
@@ -412,19 +410,16 @@ class _QuaternionTables:
         """wt(S_j(sx) + rot^j ax) + wt(S_j(sy) + rot^j ay), j = 1 .. t-1, packed.
 
         (sx, sy) are the two strands of one part of d, high strand first, and
-        (ax, ay) the same strands of a with free bit 0: ax is the suffix xor
-        of sx + sy and ay its complement.  The free bit 1 complements both,
-        which turns every field w into 2t - w.
+        (ax, ay) the same strands of a with free bit 0.  The free bit 1
+        complements both, which turns every field w into 2t - w.
 
-        Computed on the part word: ax and ay lie in place of sx and sy,
-        and rot4 rotates both strands at once.
+        Computed on the part word moved to strands 1 and 0: there ax and ay
+        are strands 1 and 0 of families._quaternion_a00, and rot4 rotates
+        both strands at once.
         """
-        n = 4 * self.t
-        top = n - 4
-        s1 = self.s3 >> 2
+        top = 4 * self.t - 4
         low = (part | part >> 2) & self.rmask  # a left part moved right
-        a = _prefix_xor((low ^ low << 1) & s1, n)  # ax on strand 1
-        a |= (a >> 1) ^ (s1 >> 1)  # ay on strand 0
+        a = _quaternion_a00(low, self.t) & self.rmask  # (ax, ay) on strands 1 and 0
         sig = 0
         cur = low
         for j in range(self.t - 1):
@@ -483,11 +478,9 @@ class _QuaternionTables:
                     yield lv, pair_sig
 
 
+@cache
 def _quaternion_tables(t: int) -> _QuaternionTables:
-    tab = _QUATERNION_TABLES.get(t)
-    if tab is None:
-        tab = _QUATERNION_TABLES[t] = _QuaternionTables(t)
-    return tab
+    return _QuaternionTables(t)
 
 
 def _quaternion_variants(
@@ -517,8 +510,8 @@ def _quaternion_variants(
     A propelinear code is distance-invariant (Rifa, Basart and Huguet,
     1989): x * C = C gives pi_x(C) = x + C, so d(x, y) = wt(x^-1 * y).  So
     the words are pairwise at distance 2t, except complement pairs at 4t,
-    exactly when every word other than e and u weighs 2t, and the table
-    passes hadamard._orthogonal_rows exactly when it passes row 0.
+    exactly when every word other than e and u weighs 2t: row 0 is the
+    whole check.
     """
     n = 4 * t
     w = 2 * t

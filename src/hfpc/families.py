@@ -215,15 +215,21 @@ def _companion_b(a: int, t: int, b_square_is_u: bool) -> int:
     return (bh << h) | (bh ^ mh if b_square_is_u else bh)
 
 
-def _quaternion_as(d: int, t: int) -> tuple[int, int, int, int]:
-    """The words a of d for the free bits (f1, f3) = 00, 01, 10, 11: strands
-    3 and 1 of a00 are prefix xors of d + pi_a(d), from the top block down,
-    strands 2 and 0 their complements; f1 flips strands 3 and 2, f3 1 and 0."""
-    s3, s2, s1, s0 = _strand_masks(t)
+def _quaternion_a00(d: int, t: int) -> int:
+    """The word a of d for the free bits (f1, f3) = 00: strands 3 and 1 are
+    prefix xors of d + pi_a(d), from the top block down, strands 2 and 0
+    their complements."""
+    s3, _, s1, _ = _strand_masks(t)
     odd = s3 | s1
     p = _prefix_xor((d ^ d << 1) & odd, 4 * t)  # d + pi_a(d) on strands 3 and 1
-    a = p | (p ^ odd) >> 1
-    high, low = s3 | s2, s1 | s0
+    return p | (p ^ odd) >> 1
+
+
+def _quaternion_as(d: int, t: int) -> tuple[int, int, int, int]:
+    """The words a of d for the free bits (f1, f3) = 00, 01, 10, 11: f1 flips
+    strands 3 and 2 of _quaternion_a00(d, t), f3 strands 1 and 0."""
+    s3, s2, s1, s0 = _strand_masks(t)
+    a, high, low = _quaternion_a00(d, t), s3 | s2, s1 | s0
     return a, a ^ low, a ^ high, a ^ high ^ low
 
 

@@ -42,10 +42,9 @@ def _orthogonal_rows(masks: Sequence[int], n: int) -> bool:
     entries, are pairwise orthogonal.  The inner product of rows i and j is
     n - 2 wt(m_i + m_j): one popcount per pair replaces n products.  As
     binary words, the masks are then pairwise at distance n/2.  This is the
-    package's one pairwise distance check: the matrix and code verdicts, the
-    CCHM conversion and the two-generator filter of the scan call it.  The
-    quaternion filter of the scan needs none: its group code is
-    distance-invariant, so the weights decide."""
+    package's one pairwise distance check: the matrix and code verdicts and
+    the CCHM conversion call it.  The scan's filters need none: their group
+    codes are distance-invariant, so the weights decide."""
     for i, mi in enumerate(masks):
         for mj in masks[i + 1 :]:
             if 2 * (mi ^ mj).bit_count() != n:

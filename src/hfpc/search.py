@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import os
-import struct
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -62,8 +61,9 @@ _FAMILY_CODE = {"4tu2": 0, "2t22u": 1, "2t4u": 2}
 # every cell of word length 32 and up needs --deep.  With the joins such cells
 # scan in seconds, not hours: a two-generator scan checks one top per necklace,
 # so 2t4u t = 8 scans in 0.01-0.02 s and 4tu2 t = 10 in 0.12-0.17 s after a
-# 0.1-0.2 s join table; what grows fast with t is the tqu scan: 12-15 s at
-# t = 11 and 194 s at t = 13 (full range, one process, 2 vCPU).
+# 0.1-0.2 s join table; what grows fast with t is the tqu scan: 9.2 s at
+# t = 11 with its tables (one run of tools/table_times.py --scan tqu 11) and
+# 194 s at t = 13 (full range, one process, 2 vCPU).
 DEEP_GATE = 1 << 28
 
 
@@ -174,7 +174,7 @@ def _power_positions(family: str, t: int) -> tuple[int, ...]:
     return tuple(map(labels.index, [(k, 0, 0) for k in range(period)] + [end]))
 
 
-def _translate_key(code: PropelinearCode, powers: itemgetter) -> bytes | tuple[int, ...]:
+def _translate_key(code: PropelinearCode, powers: itemgetter) -> frozenset[int]:
     """A key of the code set C + w, equal for all translates of C that the
     search meets, with w the word of a power of g; powers picks the words
     w_0 .. w_P of g^0 .. g^P from code.values.
@@ -187,14 +187,12 @@ def _translate_key(code: PropelinearCode, powers: itemgetter) -> bytes | tuple[i
     lands on the same power of g and both keys are C + w_{k*}; a tie can
     only split a class, which costs a profile, not a wrong one.  A key is
     only ever shared by translates C + x with x in C, and those have the
-    span and the kernel of C, as 0 is in C.  The key is the sorted words,
-    packed 8 bytes each while they fit.
+    span and the kernel of C, as 0 is in C.  The key is the set of words.
     """
     ws = powers(code.values)
     steps = list(map(xor, ws, ws[1:]))  # pi_g^k(g), k < P
     w = ws[steps.index(min(steps))]
-    words = sorted(map(w.__xor__, code.values))
-    return struct.pack("%dQ" % len(words), *words) if code.length <= 64 else tuple(words)
+    return frozenset(map(w.__xor__, code.values))
 
 
 def _accepted_codes(
@@ -205,7 +203,7 @@ def _accepted_codes(
     whose class was profiled before gets that profile with its own
     generator fields, the bytes profile(code) would give."""
     accepted: list[AcceptedCode] = []
-    profile_cache: dict[bytes | tuple[int, ...], CodeProfile] = {}
+    profile_cache: dict[frozenset[int], CodeProfile] = {}
     searched = "d" if family == "tqu" else "a"
     powers = itemgetter(*_power_positions(family, t))
     for code in codes:

@@ -8,6 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hfpc import _scan_py
+from hfpc.families import _companion_b, family_perms
+from hfpc.perms import act
 from hfpc.search import _partition
 from helpers import (
     _power_survivors,
@@ -300,6 +302,34 @@ def test_row0_filter_matches_full_table_oracle():
                 assert _scan_py._is_hadamard(a, h, fam == 2) == want, (fam, t, a)
                 verdicts.add((t, want))
     assert (8, True) in verdicts and (8, False) in verdicts
+
+
+def test_two_generator_survivors_satisfy_the_group_relations():
+    # _is_hadamard decides on row-0 weights, which is sound only when the
+    # words form a group: ab = ba, b^2 and a^2t the family's (u for b^2 in
+    # 2t4u and a^2t in 4tu2, else e).  Every survivor for t <= 5, and a
+    # seeded sample of up to 2,000 per family at t = 6 and 8
+    rng = random.Random(68)
+    seen = 0
+    for t in (1, 2, 3, 4, 5, 6, 8):
+        h = 2 * t
+        full = (1 << (2 * h)) - 1
+        for fam, tag in enumerate(("4tu2", "2t22u", "2t4u")):
+            perms = family_perms(tag, t)
+            pa, pb = perms["a"], perms["b"]
+            survivors = list(_power_survivors(h, 1 if fam == 0 else 0, 0, 1 << (2 * h)))
+            if t > 5 and len(survivors) > 2000:
+                survivors = rng.sample(survivors, 2000)
+            for a in survivors:
+                b = _companion_b(a, t, fam == 2)
+                assert a ^ act(pa, b) == b ^ act(pb, a), (tag, t, a)
+                assert b ^ act(pb, b) == (full if fam == 2 else 0), (tag, t, a)
+                power = 0
+                for _ in range(h):
+                    power = a ^ act(pa, power)
+                assert power == (full if fam == 0 else 0), (tag, t, a)
+            seen += len(survivors)
+    assert seen == 2008 + 6000 + 2000 + 3 * 2000
 
 
 def test_rank_counts_stream_candidates_below():

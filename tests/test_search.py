@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-from collections import Counter
 from math import comb
 
 import pytest
@@ -309,24 +308,23 @@ def test_one_profile_per_translate_class(monkeypatch):
             assert acc.profile == profile(rebuild_code(acc)), (tag, t, acc.candidate)
 
 
-def test_quaternion_pairwise_check_runs_in_the_reverifier_only(monkeypatch):
-    # the tqu scan accepts on weights; the reference constructor still runs
-    # the pairwise check on every accepted code
+def test_pairwise_check_runs_in_the_reverifier_only(monkeypatch):
+    # both scan filters accept on weights; the reference constructor still
+    # runs the pairwise check, once on every accepted code
+    assert "_orthogonal_rows" not in vars(_scan_py)
     pairwise = hadamard._orthogonal_rows
-    calls = Counter()
+    calls = []
 
-    def counted(where):
-        def check(masks, n):
-            calls[where] += 1
-            return pairwise(masks, n)
+    def counted(masks, n):
+        calls.append(n)
+        return pairwise(masks, n)
 
-        return check
-
-    monkeypatch.setattr(_scan_py, "_orthogonal_rows", counted("scan"))
-    monkeypatch.setattr(hadamard, "_orthogonal_rows", counted("reverify"))
-    res = run_search(SearchTask("tqu", 5, mode="all"))
-    assert len(res.accepted) == 120
-    assert calls == {"reverify": 120}
+    monkeypatch.setattr(hadamard, "_orthogonal_rows", counted)
+    for tag, t, codes in (("tqu", 5, 120), ("2t4u", 4, 32), ("2t22u", 4, 96), ("4tu2", 2, 8)):
+        calls.clear()
+        res = run_search(SearchTask(tag, t, mode="all"))
+        assert len(res.accepted) == codes, (tag, t)
+        assert calls == [4 * t] * codes, (tag, t)
 
 
 def test_filter_soundness_small():
