@@ -47,21 +47,25 @@ families that the reference constructors use.
   row-0 weights wt(d^j + rot^j a), j < t, split the same way; a variant
   passes them exactly when its two a-weight signatures are complementary.
   The right parts of each power-signature class are indexed by a-weight
-  signature.  A scan is one walk over the left parts: for each, it counts
-  the survivors in range by bisection, checks the variants of those in its
-  two matching a-weight buckets, and charges each other survivor its four
-  variants as rejected; only the accepted triples are sorted into stream
-  order at the end.  A first-accept scan runs the same walk on aligned
-  windows of doubling size and stops in the first window with an accept.
-  The variants that pass go on to b, the relations and the rest of row 0
-  (wt(d^j + rot^j b) and wt(d^j + rot^j ab), with wt d^j and
-  wt(d^j + rot^j a) checked again so that the filter decides any stream
-  word on its own).
-  A visited d's counters are those of every word in its rot4 orbit, so one
-  scan keeps a memo from each rejected orbit's least rotation to its
-  counters and runs the variants of one d per rejected orbit; every d of an
-  accepted orbit runs its own.  At t = 7 that is 1,564 of the 8,428 visited
-  survivors, at t = 11 55,320 of 595,320.
+  signature, the whole class in one pass on first use.  For each left part
+  a scan counts the survivors in range by bisection, checks the variants
+  of those in its two matching a-weight buckets, and charges each other
+  survivor its four variants as rejected; only the accepted triples are
+  sorted into stream order at the end.  The variants that pass go on to b,
+  the relations and the rest of row 0 (wt(d^j + rot^j b) and
+  wt(d^j + rot^j ab), with wt d^j and wt(d^j + rot^j a) checked again so
+  that the filter decides any stream word on its own).
+  rot4 (pi_d) maps a word's survivors, verdicts and accepted triples onto
+  those of its rotation, so an all-mode scan walks only the left parts
+  least in their rot4 orbit, the isomorph rejection of McKay ("Isomorph-free
+  exhaustive generation", 1998): it checks the variants of one word per
+  orbit, counts them for each word of the orbit in range, and derives the
+  triples of an accepted orbit's other words by rotation (_orbit_walk).
+  At t = 7 that is 1,204 variant checks for the 8,428 visited survivors,
+  at t = 11 54,120 for 595,320.  A first-accept scan walks every left part,
+  on aligned windows of doubling size, and stops in the first window with
+  an accept; it keeps a memo from each rejected orbit's least rotation to
+  its counters for the one scan (_walk).
 
 In both scans the examined and power-rejected counts come from ranking the
 candidate stream, as if every candidate had been visited in ascending order;
@@ -70,9 +74,10 @@ search.candidate_count is the rank of the end of the word range.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from functools import cache
-from itertools import compress, islice
+from itertools import compress, islice, repeat
 from math import comb
 from operator import itemgetter
 from sys import byteorder
@@ -196,7 +201,7 @@ def _rank(x: int, h: int, need_odd: int) -> int:
 def _is_hadamard(a: int, h: int, b_compl: bool) -> bool:
     """The scan's Hadamard filter on a power survivor a, decided on weights:
     b from families._companion_b, then wt(a^j * b) = wt(a^j + rot^j b) =
-    2t for j < 2t, checked as each j is built, with an exit at the first
+    2t for j <= t, checked as each j is built, with an exit at the first
     wrong one.
 
     This row 0 decides the pairwise check.  With pi_a = rot and pi_b the
@@ -214,6 +219,13 @@ def _is_hadamard(a: int, h: int, b_compl: bool) -> bool:
     a^j b u are complements), so the words are pairwise at distance 2t
     except complement pairs at 4t; two elements with one word would make a
     weight-0 element other than e, which row 0 rejects.
+
+    The weights for j <= t decide row 0, by the mirror argument: a^(2t-j)
+    is a^-j times a^2t, which is e or u, and b^-1 is b or b u, so
+    wt(a^(2t-j) * b) is wt(a^-j * b) or its complement 4t - wt(a^-j * b),
+    and by distance invariance wt(a^-j * b) = d(a^j, b) = wt(b^-1 * a^j),
+    the weight of a^j b up to a complement, as the group is abelian.  So
+    wt(a^(2t-j) b) = 2t exactly when wt(a^j b) = 2t.
     """
     mh = (1 << h) - 1
     b = _companion_b(a, h // 2, b_compl)
@@ -224,7 +236,7 @@ def _is_hadamard(a: int, h: int, b_compl: bool) -> bool:
     ends = (1 << h) | 1
     cur = 0
     rb = b
-    for _ in range(h):
+    for _ in range(h // 2 + 1):
         if (cur ^ rb).bit_count() != h:
             return False
         cur = a ^ (((cur >> 1) & keep) | ((cur & ends) << (h - 1)))
@@ -323,6 +335,57 @@ def _parities(x: int, y: int) -> int:
     return (x.bit_count() & 1) << 1 | (y.bit_count() & 1)
 
 
+def _a_signatures(parts, t: int) -> list[int]:
+    """The a-weight signature of each part of an iterable, in order (see
+    _QuaternionTables.rights_by_a_for): wt(S_j(sx) + rot^j ax) +
+    wt(S_j(sy) + rot^j ay), j = 1 .. t-1, packed.
+
+    (sx, sy) are the two strands of one part of d, high strand first, and
+    (ax, ay) the same strands of a with free bit 0.  The free bit 1
+    complements both, which turns every field w into 2t - w.  Each part is
+    moved to strands 1 and 0: there ax is the prefix xor of sx + sy from the
+    top block down and ay its complement (families._quaternion_a00), and
+    rot4 rotates both strands at once.  As in _signatures, a block of parts
+    sits in the slots of one int, and every shift is masked to its slot: the
+    prefix xor's shift by k keeps n - k bits, or the next slot leaks in once
+    4t > 32.
+    """
+    n = 4 * t
+    fields = t - 1
+    size = -(-max(n, _FIELD * fields) // 64) * 8  # bytes per slot
+    _, _, s1, s0 = _strand_masks(t)
+    parts = iter(parts)
+    out = bytearray()
+    while block := b"".join(
+        ((p | p >> 2) & (s1 | s0)).to_bytes(size, byteorder) for p in islice(parts, 1 << 14)
+    ):
+        ones = (1 << (8 * len(block))) - 1
+        rep = ones // ((1 << (8 * size)) - 1)  # 1 in every slot
+        m1, m2, m4 = ones // 3, ones // 5, ones // 17  # 0x55.., 0x33.., 0x0f..
+        count, keep, ends = rep * 255, rep * ((1 << (n - 4)) - 1), rep * 15
+        x = cur = int.from_bytes(block, byteorder)
+        q = (x >> 1 ^ x) & rep * s0  # sx + sy on strand 0
+        k = 4
+        while k < n:
+            q ^= (q >> k) & rep * ((1 << (n - k)) - 1)
+            k <<= 1
+        a = q << 1 | q ^ rep * s0  # (ax, ay) on strands 1 and 0
+        key = 0
+        for j in range(fields):
+            a = (a >> 4) & keep | (a & ends) << (n - 4)
+            v = cur ^ a
+            v -= (v >> 1) & m1
+            v = (v & m2) + ((v >> 2) & m2)
+            v = (v + (v >> 4)) & m4
+            # the product sums each slot's bytes into its top byte
+            key |= ((v * ((1 << 8 * size) // 255) >> (8 * size - 8)) & count) << (_FIELD * j)
+            cur = x ^ ((cur >> 4) & keep | (cur & ends) << (n - 4))
+        out += key.to_bytes(len(block), byteorder)
+    if size == 8:  # slots in native byte order, as cast("Q") reads them
+        return memoryview(out).cast("Q").tolist()
+    return [int.from_bytes(out[i : i + size], byteorder) for i in range(0, len(out), size)]
+
+
 class _QuaternionTables:
     """Strand signatures and join tables for one t, filled in on first use.
 
@@ -350,9 +413,9 @@ class _QuaternionTables:
         self.full = sum(2 * t << (_FIELD * j) for j in range(fields))
         self.full_a = sum(2 * t << (_FIELD * j) for j in range(t - 1))
         self.rights: dict[int, tuple[int, ...]] = {}  # left pair signature -> right parts
-        # left pair signature -> ({a-weight signature: those right parts,
-        # ascending}, how many of rights_for(sig) the buckets hold so far)
-        self.rights_by_a: dict[int, tuple[dict[int, list[int]], int]] = {}
+        # left pair signature -> {a-weight signature: those right parts, ascending}
+        self.rights_by_a: dict[int, dict[int, list[int]]] = {}
+        self.least: tuple[array, list[int], list[int], array] | None = None
 
         # A left part is a 2t-bit number m whose digit k (bits 2k + 1, 2k) is
         # (strand 3 bit k, strand 2 bit k); ascending m is ascending part.  m
@@ -391,42 +454,45 @@ class _QuaternionTables:
             )
         return rights
 
-    def rights_by_a_for(self, sig: int, bound: int) -> dict[int, list[int]]:
-        """rights_for(sig) split by the a-weight signature of each right part.
-
-        The buckets hold every right part below bound, and maybe more: they
-        grow, ascending, only as far as the callers have asked so far.
-        """
-        rights = self.rights_for(sig)
-        buckets, done = self.rights_by_a.get(sig) or ({}, 0)
-        if done < len(rights) and rights[done] < bound:
-            end = bisect_left(rights, bound, done)
-            for rv in rights[done:end]:
-                buckets.setdefault(self.a_signature(rv), []).append(rv)
-            self.rights_by_a[sig] = (buckets, end)
+    def rights_by_a_for(self, sig: int) -> dict[int, list[int]]:
+        """rights_for(sig) split by the a-weight signature of each right part
+        (see _a_signatures), the whole class in one pass on first use."""
+        buckets = self.rights_by_a.get(sig)
+        if buckets is None:
+            buckets = self.rights_by_a[sig] = {}
+            rights = self.rights_for(sig)
+            for ar, rv in zip(_a_signatures(rights, self.t), rights):
+                buckets.setdefault(ar, []).append(rv)
         return buckets
 
-    def a_signature(self, part: int) -> int:
-        """wt(S_j(sx) + rot^j ax) + wt(S_j(sy) + rot^j ay), j = 1 .. t-1, packed.
+    def least_lefts(self):
+        """(left part, pair signature, a-weight signature, period) of every
+        left part with right parts that is least in its rot4 orbit, ascending;
+        the period is the least m > 0 with rot4^m(part) = part, a divisor of
+        t.  rot4 keeps the strands, so a rotated part has the same pair
+        signature.
 
-        (sx, sy) are the two strands of one part of d, high strand first, and
-        (ax, ay) the same strands of a with free bit 0.  The free bit 1
-        complements both, which turns every field w into 2t - w.
-
-        Computed on the part word moved to strands 1 and 0: there ax and ay
-        are strands 1 and 0 of families._quaternion_a00, and rot4 rotates
-        both strands at once.
-        """
-        top = 4 * self.t - 4
-        low = (part | part >> 2) & self.rmask  # a left part moved right
-        a = _quaternion_a00(low, self.t) & self.rmask  # (ax, ay) on strands 1 and 0
-        sig = 0
-        cur = low
-        for j in range(self.t - 1):
-            a = (a >> 4) | ((a & 15) << top)
-            sig |= (cur ^ a).bit_count() << (_FIELD * j)
-            cur = low ^ ((cur >> 4) | ((cur & 15) << top))
-        return sig
+        The columns are kept apart and compact, about 25 bytes a part: the
+        parts and periods in arrays, and one int object per distinct
+        signature, as a class's parts share few (34,430 parts, 240 pair and
+        2,801 a-weight signatures at t = 11)."""
+        if self.least is None:
+            top = 4 * self.t - 4
+            parts, sigs, periods = array("Q"), [], array("B")
+            one: dict[int, int] = {}  # signature -> its one int object
+            for lv, sig in self.lefts(0, 1 << (4 * self.t)):
+                x = lv
+                for m in range(1, self.t + 1):
+                    x = (x >> 4) | ((x & 15) << top)
+                    if x <= lv:
+                        break
+                if x == lv:
+                    parts.append(lv)
+                    sigs.append(one.setdefault(sig, sig))
+                    periods.append(m)
+            a_sigs = [one.setdefault(al, al) for al in _a_signatures(parts, self.t)]
+            self.least = (parts, sigs, a_sigs, periods)
+        return zip(*self.least)
 
     def lefts(self, lo: int, hi: int):
         """(left part, its pair signature), ascending part, if it has right parts.
@@ -485,7 +551,7 @@ def _quaternion_tables(t: int) -> _QuaternionTables:
 
 def _quaternion_variants(
     d: int, t: int, allowed: tuple[bool, bool], first_only: bool
-) -> tuple[list[tuple[int, int, int]], int, int, int]:
+) -> tuple[list[tuple[int, int, int]], int, int, int, list[tuple[int, ...]]]:
     """The four (f1, f3) variants of a stream word d, decided on weights.
 
     allowed[f1 ^ f3] says whether the a-weight test lets the variant through;
@@ -495,7 +561,9 @@ def _quaternion_variants(
     d^j * a, d^j * b and d^j * ab, one j at a time with an exit at the first
     wrong one, then the code-set dedup.
     Returns (accepted triples, rejected_no_b, rejected_relation,
-    rejected_hadamard).
+    rejected_hadamard, groups): groups[k] holds the labels 2 f1 + f3 of the
+    passing variants, among those checked, whose code set is that of
+    accepted[k], least first.
 
     Row 0 decides the whole pairwise check, because the 8t words are the
     elements of a group G = C_t x Q under x * y = x + pi_x(y) once these
@@ -546,10 +614,12 @@ def _quaternion_variants(
     pd = pairswap(d)
     nd = nibswap(d)
     a_words = _quaternion_as(d, t)
-    seen: set[frozenset[int]] = set()
+    seen: dict[frozenset[int], int] = {}  # code set -> its group
+    groups: list[tuple[int, ...]] = []
     # flip is f1 ^ f3 of the variants (f1, f3) = 00, 01, 10, 11; b has seed 0,
     # as its seed-1 twin b + u generates the same code
-    for flip, a, b in zip((0, 1, 1, 0), a_words, _quaternion_bs(d, t, a_words)):
+    bs = _quaternion_bs(d, t, a_words)
+    for label, flip, a, b in zip(range(4), (0, 1, 1, 0), a_words, bs):
         if not allowed[flip]:
             rej_had += 1
             continue
@@ -589,20 +659,123 @@ def _quaternion_variants(
         if not ok:
             rej_had += 1
             continue
-        # a variant whose code set was seen before is skipped
+        # a variant whose code set was seen before joins that code's group
         code = frozenset(t_tab).union(map(full.__xor__, t_tab))
-        if code in seen:
+        k = seen.get(code)
+        if k is not None:
+            groups[k] += (label,)
             continue
-        seen.add(code)
+        seen[code] = len(groups)
+        groups.append((label,))
         accepted.append((d, a, b))
         if first_only:
-            return accepted, rej_nob, rej_rel, rej_had
-    return accepted, rej_nob, rej_rel, rej_had
+            break
+    return accepted, rej_nob, rej_rel, rej_had, groups
+
+
+def _rotated_triples(d: int, a: int, groups, t: int) -> list[tuple[int, int, int]]:
+    """The accepted triples of d = rot4^m(d0), in (f1, f3) order, from the
+    groups of d0's passing variants (see _quaternion_variants) and a =
+    rot4^m(a00(d0)).  rot4^m maps variant k of d0 to variant k ^ s of d,
+    where the label shift s is the index of a in families._quaternion_as(d);
+    each group keeps its least shifted label, and a and b are d's own."""
+    a_words = _quaternion_as(d, t)
+    shift = a_words.index(a)
+    labels = sorted(min(k ^ shift for k in group) for group in groups)
+    a_words = [a_words[k] for k in labels]
+    return list(zip(repeat(d), a_words, _quaternion_bs(d, t, a_words)))
+
+
+def _orbit_walk(tab: _QuaternionTables, lo: int, hi: int):
+    """All mode: the accepted triples in [lo, hi), ascending, and
+    (survivors, rejected_no_b, rejected_relation, rejected_hadamard), as
+    _walk(tab, lo, hi, False, {}) gives them, with one variant check per
+    visited rot4 orbit.
+
+    rot4 (pi_d) keeps the strands and commutes with pairswap, nibswap and
+    itself.  So it maps the survivors of a left part to those of its
+    rotation, which has the same pair signature, and the (f1, f3) solutions
+    a, b for d to solutions rot4(a), rot4(b) for rot4(d) (b up to its seed
+    twin b + u, which fails or passes every test with b).  Every test a
+    variant meets compares weights of words built from d, a and b, and a
+    coordinate permutation keeps those, so d's counters are those of every
+    word of its orbit.  A rotation keeps both a-weight signatures of d or
+    complements one or both, which keeps the set of passing a-weight tests
+    or swaps the two, so whether a survivor is visited (lies in a matching
+    bucket) is also a property of its orbit.
+
+    The walk visits only the left parts l that are least in their orbit.
+    It counts the survivors in range of every distinct rotation of l by
+    bisection.  In l's two matching buckets, d = l + r stands for its orbit
+    unless a rotation that fixes l (a multiple of l's period) makes r
+    smaller; its variants run once, if some word of the orbit is in range,
+    and its counters count once for each such word.  The other survivors
+    are charged their four variants as rejected.  A word d' = rot4^m(d) of
+    an accepted orbit gets its triples by rotation (_rotated_triples): for
+    each group of d's passing variants that share one code set, d' keeps
+    the least label after the label shift, as _quaternion_variants(d')
+    would, and takes its a and b from the derivations of d'.
+    """
+    t = tab.t
+    n = 4 * t
+    full = (1 << n) - 1
+    rmask, full_a = tab.rmask, tab.full_a
+
+    def rot(x: int, m: int) -> int:  # rot4^m, for 0 <= m <= t
+        return (x >> 4 * m) | ((x << (n - 4 * m)) & full)
+
+    accepted: list[tuple[int, int, int]] = []
+    survivors = visited = rej_nob = rej_rel = rej_had = 0
+    for lv, sig, al, period in tab.least_lefts():
+        rights = tab.rights_for(sig)
+        turns = [rot(lv, m) for m in range(period)]
+        count = 0
+        for lr in turns:
+            if lr < hi and lr | rmask >= lo:
+                count += bisect_left(rights, hi - lr) - bisect_left(rights, lo - lr)
+        if not count:
+            continue
+        survivors += count
+        inside = lo <= min(turns) and max(turns) | rmask < hi  # every rotation in range
+        match = full_a - al
+        by_a = tab.rights_by_a_for(sig)
+        visits = [(match, (True, al == match))]
+        if al != match:
+            visits.append((al, (False, True)))
+        for ar, allowed in visits:
+            for rv in by_a.get(ar, ()):
+                q = period  # grows to the period of d = lv + rv
+                while (x := rot(rv, q)) > rv:
+                    q += period
+                if x < rv:
+                    continue
+                d = lv + rv
+                members = range(q) if inside else [m for m in range(q) if lo <= rot(d, m) < hi]
+                if not members:
+                    continue
+                acc, nob, rel, had, groups = _quaternion_variants(d, t, allowed, False)
+                c = len(members)
+                visited += c
+                rej_nob += c * nob
+                rej_rel += c * rel
+                rej_had += c * had
+                if not acc:
+                    continue
+                a00 = _quaternion_a00(d, t)
+                for m in members:
+                    accepted += _rotated_triples(rot(d, m), rot(a00, m), groups, t) if m else acc
+    rej_had += 4 * (survivors - visited)
+    # stable: the triples of one d keep their (f1, f3) order
+    accepted.sort(key=itemgetter(0))
+    return accepted, (survivors, rej_nob, rej_rel, rej_had)
 
 
 def _walk(tab: _QuaternionTables, lo: int, hi: int, first_only: bool, memo: dict[int, int]):
-    """The accepted triples in [lo, hi), ascending, and (survivors,
-    rejected_no_b, rejected_relation, rejected_hadamard).
+    """First mode's walk over the left parts in [lo, hi): the accepted
+    triples in range, ascending, and (survivors, rejected_no_b,
+    rejected_relation, rejected_hadamard).  With first_only False it gives
+    what _orbit_walk gives, visiting every survivor that a variant could
+    pass.
 
     Per left part (a-weight signature al) only the right parts with signature
     full_a - al (f1 = f3) or al (f1 != f3) are visited; the other survivors
@@ -611,34 +784,29 @@ def _walk(tab: _QuaternionTables, lo: int, hi: int, first_only: bool, memo: dict
     triple kept: the walk ends with the least accepted d, but its counters
     are those of [lo, hi) only if it accepts nothing or d = hi - 1.
 
-    The counters of a visited d depend only on its rot4 orbit.  rot4 (pi_d)
-    commutes with pairswap, nibswap and itself, so it maps the (f1, f3)
-    solutions a, b for d to solutions rot4(a), rot4(b) for rot4(d) (b up to
-    its seed twin b + u, which fails or passes every test with b): the four
-    variants of rot4(d) are the rot4 images of those of d.  Every test a
-    variant meets compares weights or distances of words built from d, a
-    and b, and a coordinate permutation keeps those; so does a-weight,
-    which is row 0 of the pairwise check.  So the first rejected d of an
-    orbit files its counters in memo under the orbit's least rotation, packed
-    as nob | rel << 3 | had << 6, and the other members visited in this scan
-    add them without running their variants.  An orbit with an accept is
-    never filed: each accepted d runs its own variants and keeps its own
-    triples in (f1, f3) order.
+    The counters of a visited d depend only on its rot4 orbit (see
+    _orbit_walk).  So the first rejected d of an orbit files its counters in
+    memo under the orbit's least rotation, packed as nob | rel << 3 |
+    had << 6, and the other members visited in the same scan add them
+    without running their variants.  An orbit with an accept is never filed:
+    each accepted d runs its own variants and keeps its own triples in
+    (f1, f3) order.  An orbit walk would have to visit every least left
+    part in each window, so first mode keeps this walk.
     """
     t = tab.t
     top = 4 * t - 4  # rot4 moves the low nibble here
     accepted: list[tuple[int, int, int]] = []
     survivors = rej_nob = rej_rel = rej_had = 0
-    for lv, sig in tab.lefts(lo, hi):
+    lefts = list(tab.lefts(lo, hi))
+    for (lv, sig), al in zip(lefts, _a_signatures([lv for lv, _ in lefts], t)):
         rights = tab.rights_for(sig)
         rlo, rhi = lo - lv, hi - lv
         count = bisect_left(rights, rhi) - bisect_left(rights, rlo)
         if not count:
             continue
         survivors += count
-        al = tab.a_signature(lv)
         match = tab.full_a - al
-        by_a = tab.rights_by_a_for(sig, rhi)
+        by_a = tab.rights_by_a_for(sig)
         visits = [(match, (True, al == match))]
         if al != match:
             visits.append((al, (False, True)))
@@ -655,7 +823,7 @@ def _walk(tab: _QuaternionTables, lo: int, hi: int, first_only: bool, memo: dict
                 acc = None
                 packed = memo.get(key)
                 if packed is None:
-                    acc, nob, rel, had = _quaternion_variants(d, t, allowed, first_only)
+                    acc, nob, rel, had, _ = _quaternion_variants(d, t, allowed, first_only)
                     packed = nob | rel << 3 | had << 6
                     if not acc:
                         memo[key] = packed
@@ -681,24 +849,27 @@ def scan_quaternion(
     if lo >= hi:
         return [], (0, 0, 0, 0, 0)
     tab = _quaternion_tables(t)
-    # All mode walks [lo, hi) at once.  First mode walks it in windows: each
-    # is the part from its start on of a block aligned to its own size, so
-    # `lefts` walks only the left parts that share the block's high bits.
-    # The size doubles from 2^2t, the square root of the word range, which
-    # holds tens to hundreds of power survivors for t = 7 to 11.  In the
-    # window of the first accept d, a second walk over [start, d + 1) counts.
-    size = 1 << (2 * t if first_only else 4 * t)
-    start = lo
-    totals = [0, 0, 0, 0]
-    memo: dict[int, int] = {}  # rot4 orbit -> packed counters of its rejected members
-    while start < hi:
-        end = min((start | (size - 1)) + 1, hi)
-        accepted, counts = _walk(tab, start, end, first_only, memo)
-        if accepted and first_only:
-            hi = accepted[0][0] + 1  # counting stops at the first accepted candidate
-            accepted, counts = _walk(tab, start, hi, True, memo)
-        totals = [x + y for x, y in zip(totals, counts)]
-        start, size = end, size << 1
-    survivors, rej_nob, rej_rel, rej_had = totals
+    if not first_only:
+        accepted, counts = _orbit_walk(tab, lo, hi)
+    else:
+        # First mode walks [lo, hi) in windows: each is the part from its
+        # start on of a block aligned to its own size, so `lefts` walks only
+        # the left parts that share the block's high bits.  The size doubles
+        # from 2^2t, the square root of the word range, which holds tens to
+        # hundreds of power survivors for t = 7 to 11.  In the window of the
+        # first accept d, a second walk over [start, d + 1) counts.
+        size = 1 << (2 * t)
+        start = lo
+        counts = [0, 0, 0, 0]
+        memo: dict[int, int] = {}  # rot4 orbit -> packed counters of its rejected members
+        while start < hi:
+            end = min((start | (size - 1)) + 1, hi)
+            accepted, window = _walk(tab, start, end, True, memo)
+            if accepted:
+                hi = accepted[0][0] + 1  # counting stops at the first accepted candidate
+                accepted, window = _walk(tab, start, hi, True, memo)
+            counts = [x + y for x, y in zip(counts, window)]
+            start, size = end, size << 1
+    survivors, rej_nob, rej_rel, rej_had = counts
     examined = _quaternion_rank(hi, t) - _quaternion_rank(lo, t)
     return accepted, (examined, examined - survivors, rej_nob, rej_rel, rej_had)

@@ -61,9 +61,9 @@ _FAMILY_CODE = {"4tu2": 0, "2t22u": 1, "2t4u": 2}
 # every cell of word length 32 and up needs --deep.  With the joins such cells
 # scan in seconds, not hours: a two-generator scan checks one top per necklace,
 # so 2t4u t = 8 scans in 0.01-0.02 s and 4tu2 t = 10 in 0.12-0.17 s after a
-# 0.1-0.2 s join table; what grows fast with t is the tqu scan: 9.2 s at
-# t = 11 with its tables (one run of tools/table_times.py --scan tqu 11) and
-# 194 s at t = 13 (full range, one process, 2 vCPU).
+# 0.1-0.2 s join table; what grows fast with t is the tqu scan: 2.2-2.3 s
+# at t = 11 with its tables (two runs of tools/table_times.py --scan tqu 11)
+# and 32-38 s at t = 13 (full range, one process, 2 vCPU).
 DEEP_GATE = 1 << 28
 
 

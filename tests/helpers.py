@@ -13,7 +13,8 @@ candidate stream by binomial convolution, with no ranking, the generator
 derivations of hfpc.families on bit lists, one coordinate at a time, the
 two-generator join table from every signature field of one necklace at a
 time, the tqu left-part tables one bit at a time, the tqu a-weight
-signatures on t-bit strands, the byte-table action perms.act by a loop over
+signatures on t-bit strands and one part at a time, the two-generator row-0
+filter over every j < 2t, the byte-table action perms.act by a loop over
 set bits, the int-word family constructors by the BitVector builder they
 replaced, and the CCHM doubling and conversion to a code on a +-1 matrix,
 block by block.
@@ -34,6 +35,9 @@ from hfpc import _scan_py
 from hfpc.cchm import NotCCHM, QuaternaryRow, is_cchm
 from hfpc.families import (
     Reject,
+    _companion_b,
+    _quaternion_a00,
+    _strand_masks,
     assemble,
     assemble_quaternion_variants,
     element_perms,
@@ -94,6 +98,10 @@ EXPECTED_CELLS = {
     ("2t22u", 10): "analytic",
     ("2t4u", 10): (),
     ("tqu", 10): "na",
+    ("4tu2", 11): "analytic",
+    ("2t22u", 11): "analytic",
+    ("2t4u", 11): "analytic",
+    ("tqu", 11): ((43, 1),),
 }
 
 
@@ -1041,7 +1049,8 @@ def _unspread(t: int) -> dict[int, int]:
 
 
 def strand_a_signature(t: int, part: int) -> int:
-    """_QuaternionTables.a_signature on the two t-bit strands of the part.
+    """The a-weight signature of _scan_py._a_signatures on the two t-bit
+    strands of the part.
 
     wt(S_j(sx) + rot^j ax) + wt(S_j(sy) + rot^j ay), j = 1 .. t-1, packed:
     (sx, sy) are the two strands of one part of d, high strand first, and
@@ -1068,6 +1077,24 @@ def strand_a_signature(t: int, part: int) -> int:
         sig |= ((cx ^ ax).bit_count() + (cy ^ ay).bit_count()) << (_scan_py._FIELD * j)
         cx = sx ^ ((cx >> 1) | ((cx & 1) << (t - 1)))
         cy = sy ^ ((cy >> 1) | ((cy & 1) << (t - 1)))
+    return sig
+
+
+def per_part_a_signature(t: int, part: int) -> int:
+    """The a-weight signature of one part, one part at a time: the body that
+    _scan_py._a_signatures computes in bulk, on the part word moved to
+    strands 1 and 0, where (ax, ay) are strands 1 and 0 of
+    families._quaternion_a00 and rot4 rotates both strands at once."""
+    _, _, s1, s0 = _strand_masks(t)
+    top = 4 * t - 4
+    low = (part | part >> 2) & (s1 | s0)  # a left part moved right
+    a = _quaternion_a00(low, t) & (s1 | s0)  # (ax, ay) on strands 1 and 0
+    sig = 0
+    cur = low
+    for j in range(t - 1):
+        a = (a >> 4) | ((a & 15) << top)
+        sig |= (cur ^ a).bit_count() << (_scan_py._FIELD * j)
+        cur = low ^ ((cur >> 4) | ((cur & 15) << top))
     return sig
 
 
@@ -1310,9 +1337,28 @@ def full_table_is_hadamard(a: int, h: int, b_compl: bool) -> bool:
     return True
 
 
+def full_row0_is_hadamard(a: int, h: int, b_compl: bool) -> bool:
+    """The two-generator row-0 filter over every j < 2t: wt(a^j + rot^j b) =
+    2t, checked as a^j and rot^j b are built.  hfpc._scan_py._is_hadamard
+    stops at j = t by the mirror argument and must give the same verdict on
+    every power survivor a."""
+    mh = (1 << h) - 1
+    b = _companion_b(a, h // 2, b_compl)
+    keep = ((mh >> 1) << h) | (mh >> 1)  # the bits that stay in their half
+    ends = (1 << h) | 1
+    cur = 0
+    rb = b
+    for _ in range(h):
+        if (cur ^ rb).bit_count() != h:
+            return False
+        cur = a ^ (((cur >> 1) & keep) | ((cur & ends) << (h - 1)))
+        rb = ((rb >> 1) & keep) | ((rb & ends) << (h - 1))
+    return True
+
+
 def full_check_quaternion_variants(
     d: int, t: int, allowed: tuple[bool, bool], first_only: bool
-) -> tuple[list[tuple[int, int, int]], int, int, int]:
+) -> tuple[list[tuple[int, int, int]], int, int, int, list[tuple[int, ...]]]:
     """The quaternion variant check with no b/ab row-0 exit.
 
     Derives a and b bit by bit and checks the whole table pairwise; the
@@ -1323,7 +1369,8 @@ def full_check_quaternion_variants(
     counted as rejected there.  The others derive a and b, check the
     relations, the pairwise Hadamard condition and the code-set dedup.
     Returns (accepted triples, rejected_no_b, rejected_relation,
-    rejected_hadamard).
+    rejected_hadamard, groups), groups[k] the labels 2 f1 + f3 of the
+    passing variants checked whose code set is that of accepted[k].
     """
     n = 4 * t
     w = 2 * t
@@ -1353,7 +1400,8 @@ def full_check_quaternion_variants(
 
     what = d ^ pairswap(d)
     wtil = d ^ nibswap(d)
-    seen: set[tuple[int, ...]] = set()
+    seen: dict[tuple[int, ...], int] = {}  # code set -> its group
+    groups: list[tuple[int, ...]] = []
     for f1 in (0, 1):
         for f3 in (0, 1):
             if not allowed[f1 ^ f3]:
@@ -1423,12 +1471,14 @@ def full_check_quaternion_variants(
                 continue
             sig = tuple(sorted(min(x, x ^ full) for x in t_tab))
             if sig in seen:
+                groups[seen[sig]] += (2 * f1 + f3,)
                 continue
-            seen.add(sig)
+            seen[sig] = len(groups)
+            groups.append((2 * f1 + f3,))
             accepted.append((d, a, b))
             if first_only:
-                return accepted, rej_nob, rej_rel, rej_had
-    return accepted, rej_nob, rej_rel, rej_had
+                return accepted, rej_nob, rej_rel, rej_had, groups
+    return accepted, rej_nob, rej_rel, rej_had, groups
 
 
 # t -> {part in place: a-weight signature}, for heap_scan_quaternion, which
@@ -1469,7 +1519,7 @@ def heap_scan_quaternion(
             if pos < len(rights) and lv + rights[pos] < hi:
                 al = a_sigs.get(lv)
                 if al is None:
-                    al = a_sigs[lv] = tab.a_signature(lv)
+                    al = a_sigs[lv] = per_part_a_signature(t, lv)
                 heappush(heap, (lv + rights[pos], pos, lv, rights, al))
             nxt = next(lefts, None)
         if not heap:
@@ -1479,10 +1529,10 @@ def heap_scan_quaternion(
         rv = d - lv
         ar = a_sigs.get(rv)
         if ar is None:
-            ar = a_sigs[rv] = tab.a_signature(rv)
+            ar = a_sigs[rv] = per_part_a_signature(t, rv)
         allowed = (al + ar == full_a, al == ar)
         if allowed[0] or allowed[1]:
-            acc, nob, rel, had = full_check_quaternion_variants(d, t, allowed, first_only)
+            acc, nob, rel, had, _ = full_check_quaternion_variants(d, t, allowed, first_only)
             rej_nob += nob
             rej_rel += rel
             rej_had += had

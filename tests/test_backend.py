@@ -8,7 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hfpc import _scan_py
-from hfpc.families import _companion_b, family_perms
+from hfpc.families import (
+    _companion_b,
+    _quaternion_a00,
+    _quaternion_as,
+    assemble_quaternion_explicit,
+    family_perms,
+)
+from hfpc.gf2 import BitVector
 from hfpc.perms import act
 from hfpc.search import _partition
 from helpers import (
@@ -19,6 +26,7 @@ from helpers import (
     binomial_candidate_count,
     candidate_stream,
     full_check_quaternion_variants,
+    full_row0_is_hadamard,
     full_table_is_hadamard,
     gathered_left_tables,
     gosper_next,
@@ -27,6 +35,7 @@ from helpers import (
     heap_scan_quaternion,
     least_geq_with_weight,
     necklace_join_table,
+    per_part_a_signature,
     quaternion_power_survivor_count,
     recursive_strand_words,
     strand_a_signature,
@@ -287,19 +296,24 @@ def test_quaternion_left_tables_match_gather_construction():
 
 
 def test_row0_filter_matches_full_table_oracle():
-    # every power survivor for t <= 6, a seeded sample of 20,000 per family at t = 8
+    # every power survivor for t <= 6, a seeded sample of 20,000 per family
+    # at t = 8; _is_hadamard checks the row-0 weights for j <= t only (the
+    # mirror argument in its docstring), and must give the verdict of the
+    # row-0 loop over every j < 2t there and at t = 10, 20,000 per family
     rng = random.Random(80)
     verdicts = set()
-    for t in (1, 2, 3, 4, 5, 6, 8):
+    for t in (1, 2, 3, 4, 5, 6, 8, 10):
         h = 2 * t
         for fam in (0, 1, 2):
             survivors = list(_power_survivors(h, 1 if fam == 0 else 0, 0, 1 << (2 * h)))
-            if t == 8:
+            if t >= 8:
                 assert len(survivors) > 20000
                 survivors = rng.sample(survivors, 20000)
             for a in survivors:
-                want = full_table_is_hadamard(a, h, fam == 2)
+                want = full_row0_is_hadamard(a, h, fam == 2)
                 assert _scan_py._is_hadamard(a, h, fam == 2) == want, (fam, t, a)
+                if t <= 8:
+                    assert full_table_is_hadamard(a, h, fam == 2) == want, (fam, t, a)
                 verdicts.add((t, want))
     assert (8, True) in verdicts and (8, False) in verdicts
 
@@ -409,43 +423,39 @@ def test_quaternion_join_matches_heap_merge_oracle():
     assert accepted
 
 
-def test_quaternion_right_buckets_grow_to_each_bound():
-    # a fresh index, asked for rising bounds, holds a prefix of the class's
-    # right parts that reaches each bound, filed by a-weight signature
-    rng = random.Random(31)
+def test_quaternion_right_buckets_partition_each_class():
+    # a fresh index files every right part of a class, built in one pass, in
+    # the bucket of its a-weight signature: the buckets, each ascending, are
+    # the oracle's partition of all of the class's right parts
     for t in (5, 7):
         tab = _scan_py._QuaternionTables(t)
-        sigs = sorted({sig for _, sig in tab.lefts(0, 1 << (4 * t))})
-        for sig in rng.sample(sigs, min(12, len(sigs))):
-            rights = tab.rights_for(sig)
-            picks = sorted(rng.sample(range(len(rights)), min(6, len(rights))))
-            for k in picks:
-                buckets = tab.rights_by_a_for(sig, rights[k] + 1)
-                held = sorted(rv for bucket in buckets.values() for rv in bucket)
-                assert k < len(held) and held == list(rights[: len(held)]), (t, sig, k)
-                for ar, bucket in buckets.items():
-                    assert bucket == sorted(bucket), (t, sig)
-                    assert all(tab.a_signature(rv) == ar for rv in bucket), (t, sig)
+        for sig in sorted({sig for _, sig in tab.lefts(0, 1 << (4 * t))}):
+            want: dict[int, list[int]] = {}
+            for rv in tab.rights_for(sig):
+                want.setdefault(per_part_a_signature(t, rv), []).append(rv)
+            assert tab.rights_by_a_for(sig) == want, (t, sig)
 
 
 def test_a_signature_matches_strand_oracle():
-    # every part of the stream (both strands of even weight), right and left,
-    # for t <= 9; seeded parts of any strand weights beyond
+    # the bulk a-weight signatures against the per-part body and the strand
+    # oracle: every part of the stream (both strands of even weight), right
+    # and left, for t <= 9; seeded parts of any strand weights at t = 11, 13
+    # and 15, where 4t > 32 and, from t = 13, the 16-byte slots are used
     for t in range(1, 10):
-        tab = _scan_py._quaternion_tables(t)
-        sp = tab.spread
+        sp = _scan_py._quaternion_tables(t).spread
         evens = [s for s in range(1 << t) if not s.bit_count() & 1]
-        for hi in evens:
-            for lo in evens:
-                rv = sp[hi] << 1 | sp[lo]
-                want = strand_a_signature(t, rv)
-                assert tab.a_signature(rv) == want == tab.a_signature(rv << 2), (t, rv)
+        rights = [sp[hi] << 1 | sp[lo] for hi in evens for lo in evens]
+        want = [strand_a_signature(t, rv) for rv in rights]
+        assert want == [per_part_a_signature(t, rv) for rv in rights], t
+        assert _scan_py._a_signatures(rights, t) == want, t
+        assert _scan_py._a_signatures([rv << 2 for rv in rights], t) == want, t
     rng = random.Random(2027)
     for t in (11, 13, 15):
-        tab = _scan_py._QuaternionTables(t)
-        for _ in range(20_000):
-            part = rng.getrandbits(4 * t) & (tab.rmask << rng.choice((0, 2)))
-            assert tab.a_signature(part) == strand_a_signature(t, part), (t, part)
+        rmask = _scan_py._QuaternionTables(t).rmask
+        parts = [rng.getrandbits(4 * t) & (rmask << rng.choice((0, 2))) for _ in range(20_000)]
+        want = [strand_a_signature(t, part) for part in parts]
+        assert want == [per_part_a_signature(t, part) for part in parts], t
+        assert _scan_py._a_signatures(parts, t) == want, t
 
 
 def _first_window(monkeypatch, t):
@@ -551,8 +561,8 @@ def _rot4(d, t):
 
 def _a_weight_flags(tab, d):
     """The a-weight flags (f1 = f3, f1 != f3) of a stream word d, from its parts."""
-    al = tab.a_signature(d & ~tab.rmask)
-    ar = tab.a_signature(d & tab.rmask)
+    al = per_part_a_signature(tab.t, d & ~tab.rmask)
+    ar = per_part_a_signature(tab.t, d & tab.rmask)
     return ar == tab.full_a - al, ar == al
 
 
@@ -561,8 +571,8 @@ def _visited_survivors(tab, lefts):
     variants on: those whose a-weight test lets some variant through."""
     out = []
     for lv, sig in lefts:
-        al = tab.a_signature(lv)
-        by_a = tab.rights_by_a_for(sig, 1 << (4 * tab.t))
+        al = per_part_a_signature(tab.t, lv)
+        by_a = tab.rights_by_a_for(sig)
         for ar in {tab.full_a - al, al}:
             out += [lv + rv for rv in by_a.get(ar, ())]
     return out
@@ -595,7 +605,7 @@ def test_quaternion_variants_are_rot4_invariant():
             got = _scan_py._quaternion_variants(d, t, _a_weight_flags(tab, d), False)
             r = _rot4(d, t)
             img = _scan_py._quaternion_variants(r, t, _a_weight_flags(tab, r), False)
-            assert got[1:] == img[1:] and bool(got[0]) == bool(img[0]), (t, d)
+            assert got[1:4] == img[1:4] and bool(got[0]) == bool(img[0]), (t, d)
             accepts += bool(got[0])
         assert accepts and accepts < len(words), t
     # the only short orbits at t = 9 are the words made of one 12-bit block
@@ -610,11 +620,10 @@ def test_quaternion_variants_are_rot4_invariant():
     assert len(stream) == 108 and not any(_is_power_survivor(d, 9) for d in stream)
 
 
-def test_quaternion_walk_runs_variants_once_per_rejected_orbit(monkeypatch):
-    # the full t = 7 scan visits 8,428 survivors in 1,204 rot4 orbits; with
-    # the orbit memo 1,564 of them run their variants: the 420 accepted d
-    # (the 60 accepted orbits, two triples each) and one d of each of the
-    # 1,144 rejected orbits
+def test_quaternion_walk_runs_variants_once_per_orbit(monkeypatch):
+    # the full t = 7 scan has 8,428 visited survivors in 1,204 rot4 orbits;
+    # the orbit walk runs the variants of one d per orbit, the accepted ones
+    # included (60 orbits, whose 420 words give two triples each)
     calls = []
     variants = _scan_py._quaternion_variants
 
@@ -625,16 +634,18 @@ def test_quaternion_walk_runs_variants_once_per_rejected_orbit(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(_scan_py, "_quaternion_variants", counted)
         accepted, _ = _scan_py.scan_quaternion(7, 0, 1 << 28)
-    assert len(accepted) == 840
-    assert len(calls) == len(set(calls)) == 1_564
+    assert len(accepted) == 840 and len({d for d, _, _ in accepted}) == 420
+    assert len(calls) == 1_204
+    assert len({min(_rotations(d, 7)) for d in calls}) == 1_204
 
 
 def test_quaternion_variants_accept_on_weights(monkeypatch):
     # the scan decides a d on the weights of its 4t - 1 rows other than e;
     # it must give the verdicts and counters of the full pairwise table
-    # check, in both modes: on every survivor visited at t <= 7, and on 2,000
-    # seeded calls of a walk over the range below 2^31 at t = 9 and below
-    # the first accepted d at t = 11, each with the walk's a-weight flags
+    # check, in both modes: on every survivor visited at t <= 7, and on the
+    # calls of a walk over the range below 2^31 at t = 9 and below the first
+    # accepted d at t = 11, each with the walk's a-weight flags: every call
+    # that accepts and 2,000 seeded others
     rng = random.Random(2024)
     cases = []
     for t in (1, 3, 5, 7):
@@ -643,17 +654,18 @@ def test_quaternion_variants_accept_on_weights(monkeypatch):
         cases += [(t, d, _a_weight_flags(tab, d)) for d in words]
     variants = _scan_py._quaternion_variants
     for t, hi in ((9, 1 << 31), (11, 228_694_750_036)):
-        calls = []
+        calls, accepting = [], []
 
         def recorded(d, t, allowed, first_only):
-            calls.append((t, d, allowed))
-            return variants(d, t, allowed, first_only)
+            got = variants(d, t, allowed, first_only)
+            (accepting if got[0] else calls).append((t, d, allowed))
+            return got
 
         with monkeypatch.context() as patch:
             patch.setattr(_scan_py, "_quaternion_variants", recorded)
             _scan_py.scan_quaternion(t, 0, hi)
-        assert len(calls) > 2_000, t
-        cases += rng.sample(calls, 2_000)
+        assert accepting and len(calls) > 2_000, t
+        cases += accepting + rng.sample(calls, 2_000)
     accepts = Counter()
     for t, d, allowed in cases:
         for first in (False, True):
@@ -661,3 +673,160 @@ def test_quaternion_variants_accept_on_weights(monkeypatch):
             assert got == full_check_quaternion_variants(d, t, allowed, first), (t, d)
         accepts[t] += bool(got[0])
     assert all(accepts[t] for t in (3, 5, 7, 9, 11)), accepts
+
+
+def _rotations(d, t):
+    """The t rotations rot4^m(d), m < t, some equal when d's orbit is short."""
+    out = [d]
+    for _ in range(t - 1):
+        out.append(_rot4(out[-1], t))
+    return out
+
+
+def test_orbit_walk_matches_survivor_walk_on_every_cell_and_pool_chunk():
+    # the all-mode orbit walk against the walk that visits every survivor,
+    # in counters and accepted list, on every tqu cell with t <= 9, whole
+    # and in the _partition chunks of a pool of 2 and of 3 workers: an orbit
+    # straddles chunk bounds, and each chunk counts only its own words (the
+    # oracle's memo of rejected orbits holds for any range, so one serves all)
+    for t in (1, 3, 5, 7, 9):
+        tab = _scan_py._quaternion_tables(t)
+        memo: dict[int, int] = {}
+        for workers in (1, 2, 3):
+            for lo, hi in _partition(0, 1 << (4 * t), workers):
+                want = _scan_py._walk(tab, lo, hi, False, memo)
+                assert _scan_py._orbit_walk(tab, lo, hi) == want, (t, lo, hi)
+
+
+def test_orbit_walk_matches_survivor_walk_on_t11_subranges():
+    # seeded subranges of 2^30 to 2^34 words at t = 11, and the range below
+    # the first accepted d, whose orbit has its other words above it
+    rng = random.Random(1111)
+    tab = _scan_py._quaternion_tables(11)
+    ranges = [(0, 228_694_750_036)]
+    for _ in range(4):
+        lo = rng.randrange(1 << 44)
+        ranges.append((lo, lo + (1 << rng.randrange(30, 35))))
+    accepted = 0
+    for lo, hi in ranges:
+        got = _scan_py._orbit_walk(tab, lo, hi)
+        assert got == _scan_py._walk(tab, lo, hi, False, {}), (lo, hi)
+        accepted += len(got[0])
+    assert accepted
+
+
+def test_rotated_triples_match_each_members_variants():
+    # every word of every accepted orbit with t <= 9 gets, by rotation of
+    # its orbit's variants, the triples its own variant check gives
+    for t in (3, 5, 7, 9):
+        tab = _scan_py._quaternion_tables(t)
+        accepted, _ = _scan_py._orbit_walk(tab, 0, 1 << (4 * t))
+        mine: dict[int, list] = {}
+        for triple in accepted:
+            mine.setdefault(triple[0], []).append(triple)
+        for d in mine:
+            assert set(_rotations(d, t)) <= mine.keys(), (t, d)
+            want = _scan_py._quaternion_variants(d, t, (True, True), False)[0]
+            assert mine[d] == want, (t, d)
+        assert len(mine) == {3: 12, 5: 60, 7: 420, 9: 1620}[t], t
+
+
+def test_rotated_triples_follow_each_code_set():
+    # every accepted d with t <= 7 passes in two groups of variants, {00, 11}
+    # and {01, 10}, so the least labels are 0 and 1 under any label shift;
+    # here each group alone must give, for every rotation d' = rot4^m(d),
+    # the triple whose code is the rot4^m image of the group's code
+    def code(t, d, a, b):
+        return assemble_quaternion_explicit(t, *(BitVector(4 * t, x) for x in (d, a, b)))
+
+    shifts = set()
+    for t in (3, 5, 7):
+        tab = _scan_py._quaternion_tables(t)
+        accepted, _ = _scan_py._orbit_walk(tab, 0, 1 << (4 * t))
+        for d in sorted({min(_rotations(d, t)) for d, _, _ in accepted}):
+            acc, _, _, _, groups = _scan_py._quaternion_variants(d, t, (True, True), False)
+            assert groups == [(0, 3), (1, 2)], (t, d)
+            turns = list(zip(_rotations(d, t), _rotations(_quaternion_a00(d, t), t)))
+            for (_, a, b), group in zip(acc, groups):
+                words = code(t, d, a, b).vector_values
+                for dm, am in turns[1:]:
+                    (triple,) = _scan_py._rotated_triples(dm, am, [group], t)
+                    want = {_rotations(w, t)[turns.index((dm, am))] for w in words}
+                    assert code(t, *triple).vector_values == want, (t, d, dm)
+                    shifts.add(_quaternion_as(dm, t).index(am))
+    assert shifts == {0, 1, 2, 3}, shifts
+
+
+class _OneOrbitTables:
+    """Join tables of t = 9 with one orbit of left parts, of period 3, and a
+    seeded set of right parts closed under rot4: no left part of the stream
+    with a partner has a period below t for t <= 13, so this is how the
+    orbit walk meets a rotation that fixes its left part."""
+
+    t = 9
+
+    def __init__(self, seed: int):
+        real = _scan_py._quaternion_tables(9)
+        self.rmask, self.full_a, sp = real.rmask, real.full_a, real.spread
+        part = sp[0b011011011] << 3 | sp[0b101101101] << 2
+        self.left = min(_rotations(part, 9))
+        self.sig = real.sig[0b011011011] + real.sig[0b101101101]
+        (al,) = _scan_py._a_signatures([self.left], 9)
+        evens = [x for x in range(1 << 9) if not x.bit_count() & 1]
+        parts = [sp[x] << 1 | sp[y] for x in evens for y in evens]
+        signs = _scan_py._a_signatures(parts, 9)
+        matching = [p for p, ar in zip(parts, signs) if ar in (al, self.full_a - al)]
+        other = [p for p, ar in zip(parts, signs) if ar not in (al, self.full_a - al)]
+        rng = random.Random(seed)
+        # a right part of period 3 makes words whose orbit has 3 words
+        short = [p for p in matching if _rotations(p, 9)[3] == p and p != _rot4(p, 9)]
+        picks = rng.sample(matching, 6) + rng.sample(other, 2) + short[:1]
+        self.rights = sorted({r for p in picks for r in _rotations(p, 9)})
+        self.least = [(self.left, self.sig, al, 3)]
+        self.buckets: dict[int, list[int]] = {}
+        for r, ar in zip(self.rights, _scan_py._a_signatures(self.rights, 9)):
+            self.buckets.setdefault(ar, []).append(r)
+
+    def lefts(self, lo, hi):
+        return ((lv, self.sig) for lv in sorted(set(_rotations(self.left, 9))))
+
+    def rights_for(self, sig):
+        return tuple(self.rights)
+
+    def rights_by_a_for(self, sig):
+        return self.buckets
+
+    def least_lefts(self):
+        return self.least
+
+
+def test_orbit_walk_with_a_left_part_of_short_period(monkeypatch):
+    # rot4^3 and rot4^6 fix the left part: a word and its two images under
+    # them lie in one bucket, and only the least one stands for the orbit.
+    # These words reject all four variants on weights, as an unvisited word
+    # is charged, so the variant check is replaced by one whose counters
+    # tell a visit apart: some rejected_no_b, the same for a whole orbit
+    calls = []
+
+    def orbit_counters(d, t, allowed, first_only):
+        calls.append(d)
+        k = 1 + min(_rotations(d, t)) % 3
+        return [], k, 0, 4 - k, []
+
+    monkeypatch.setattr(_scan_py, "_quaternion_variants", orbit_counters)
+    for seed in (1, 2, 3):
+        tab = _OneOrbitTables(seed)
+        assert any(_rotations(r, 9)[3] == r for r in tab.rights), seed
+        rng = random.Random(seed)
+        ranges = [(0, 1 << 36)] + _partition(0, 1 << 36, 3)
+        for _ in range(4):
+            x, y = sorted(rng.sample(range(tab.left, tab.left | (1 << 36) - 1), 2))
+            ranges.append((x, y))
+        for lo, hi in ranges:
+            words = [lv + r for lv, _ in tab.lefts(lo, hi) for r in tab.rights]
+            del calls[:]
+            got = _scan_py._orbit_walk(tab, lo, hi)
+            assert len(calls) == len({min(_rotations(d, 9)) for d in calls}), (seed, lo, hi)
+            assert got == _scan_py._walk(tab, lo, hi, False, {}), (seed, lo, hi)
+            assert got[1][0] == sum(lo <= d < hi for d in words), (seed, lo, hi)
+        assert _scan_py._orbit_walk(tab, 0, 1 << 36)[1][1], seed  # visits counted

@@ -21,6 +21,7 @@ from helpers import (
     all_weight_w,
     brute_force_accepted,
     candidate_stream,
+    quaternion_power_survivor_count,
     rebuild_code,
 )
 
@@ -133,6 +134,30 @@ def test_quaternion_t9_full_scan_counters():
     assert len(res.accepted) == res.distinct_code_sets == 3240
     profiles = tuple(sorted({a.profile.rk for a in res.accepted}))
     assert profiles == EXPECTED_CELLS[("tqu", 9)] == ((35, 1),)
+
+
+def test_quaternion_t11_full_scan_counters():
+    # the t = 11 row: tqu over its whole 263,012,105,928-candidate stream in
+    # one call, every code re-assembled; the other three cells are analytic
+    res = run_search(SearchTask("tqu", 11, mode="all"))
+    assert res.counters == {
+        "examined": 263_012_105_928,
+        "rejected_power": 262_363_802_448,
+        "rejected_no_b": 0,
+        "rejected_relation": 0,
+        "rejected_hadamard": 2_593_208_640,
+        "accepted": 2640,
+    }
+    survivors = res.counters["examined"] - res.counters["rejected_power"]
+    assert survivors == quaternion_power_survivor_count(11) == 648_303_480
+    assert len(res.accepted) == res.distinct_code_sets == 2640
+    profiles = tuple(sorted({a.profile.rk for a in res.accepted}))
+    assert profiles == EXPECTED_CELLS[("tqu", 11)] == ((43, 1),)
+    # the accepted d are closed under rot4, a rotation by one nibble
+    ds = {a.candidate for a in res.accepted}
+    assert {d[-4:] + d[:-4] for d in ds} == ds
+    for tag in ("4tu2", "2t22u", "2t4u"):
+        assert EXPECTED_CELLS[(tag, 11)] == "analytic" and analytic_nonexistence(tag, 11)
 
 
 def test_two_generator_t10_cells_are_empty():

@@ -8,10 +8,12 @@
 
 Imports ``hfpc`` from the ``src/`` beside this script.  ``--join H`` times
 ``_scan_py._join_table(H)``.  ``--quaternion T`` times
-``_scan_py._quaternion_tables(T)`` as ``quaternion_tables_s``, then as
-``class_tables_s`` the class tables that the scan otherwise fills in on
-first use: the right parts and their a-weight buckets of every left part's
-signature class, found by one walk over the left parts.  ``--scan FAMILY T``
+``_scan_py._quaternion_tables(T)`` as ``quaternion_tables_s``, then the
+class tables that the scan otherwise fills in on first use, in two stages:
+``class_tables_s`` walks the left parts once, filling in the right parts of
+each one's signature class and listing those least in their rot4 orbit with
+their a-weight signatures, and ``a_buckets_s`` files each class's right
+parts by a-weight signature, in bulk.  ``--scan FAMILY T``
 builds that cell's tables (the join table for 4tu2, 2t22u or 2t4u, the
 quaternion and class tables for tqu; timed as above), so that ``scan_s``
 covers the walk alone, then times the scan kernel in all mode
@@ -48,18 +50,16 @@ def timed(call, *args):
     return result, round(time.perf_counter() - start, 4)
 
 
-def class_tables(t: int) -> None:
-    """Fill in the tqu class tables over the whole word range: rights_for and
-    rights_by_a_for of every signature that a left part has."""
-    tab = _scan_py._quaternion_tables(t)
-    end = 1 << (4 * t)
-    for sig in dict.fromkeys(sig for _, sig in tab.lefts(0, end)):
-        tab.rights_by_a_for(sig, end)
+def a_buckets(tab) -> None:
+    """rights_by_a_for of every signature that a left part has."""
+    for sig in dict.fromkeys(sig for _, sig, _, _ in tab.least_lefts()):
+        tab.rights_by_a_for(sig)
 
 
 def quaternion_times(t: int, out: dict) -> None:
-    _, out["quaternion_tables_s"] = timed(_scan_py._quaternion_tables, t)
-    _, out["class_tables_s"] = timed(class_tables, t)
+    tab, out["quaternion_tables_s"] = timed(_scan_py._quaternion_tables, t)
+    _, out["class_tables_s"] = timed(tab.least_lefts)
+    _, out["a_buckets_s"] = timed(a_buckets, tab)
 
 
 def main() -> None:
