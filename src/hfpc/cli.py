@@ -3,8 +3,7 @@
 Exit codes: 0 success, 1 failed predicate (verify), 2 internal invariant
 violation, 64 usage or parse errors and an output file that cannot be opened.
 Result streams are JSON lines with a deterministic key order; wall-clock
-timings go to stderr only, so repeated runs produce byte-identical output for
-any worker count.
+timings go to stderr only, so stdout holds identical bytes on every run.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import sys
 from contextlib import nullcontext
 from functools import cache
 
-from . import _backend
 from .cchm import (
     MalformedCosetHit,
     NotCCHM,
@@ -83,8 +81,7 @@ def cmd_search(args, parser: _Parser) -> int:
     task = SearchTask(args.family, args.t, mode=mode)
     with _open_output(args.output) as out:
         try:
-            # run_search treats --workers 0 as 1
-            result = run_search(task, workers=args.workers)
+            result = run_search(task)
         except BoundViolation as exc:
             sys.stderr.write("bound violation: %s\n" % exc)
             return INTERNAL_EXIT
@@ -113,14 +110,13 @@ def cmd_search(args, parser: _Parser) -> int:
             summary["conjecture_counterexample_candidates"] = len(result.accepted)
         _dump(summary, out)
     sys.stderr.write(
-        "search %s t=%d: %d accepted (%d distinct) in %.2fs [%s backend]\n"
+        "search %s t=%d: %d accepted (%d distinct) in %.2fs\n"
         % (
             result.family,
             result.t,
             len(result.accepted),
             result.distinct_code_sets,
             result.wall_time,
-            _backend.BACKEND_NAME,
         )
     )
     return 0
@@ -228,7 +224,7 @@ def _cell_text(cell: TableCell) -> str:
 def cmd_table(args, parser: _Parser) -> int:
     with _open_output(args.output) as out:
         try:
-            rows = reproduce_table(args.tmax, deep=args.deep, workers=args.workers)
+            rows = reproduce_table(args.tmax, deep=args.deep)
         except BoundViolation as exc:
             sys.stderr.write("bound violation: %s\n" % exc)
             return INTERNAL_EXIT
@@ -284,7 +280,6 @@ def build_parser() -> _Parser:
     mode = p_search.add_mutually_exclusive_group()
     mode.add_argument("--all", action="store_true", help="report every accepted code")
     mode.add_argument("--first", action="store_true", help="stop at the first code")
-    p_search.add_argument("--workers", type=int, default=1)
     p_search.add_argument("--deep", action="store_true")
     p_search.add_argument("--output", default=None)
 
@@ -308,7 +303,6 @@ def build_parser() -> _Parser:
     p_table = sub.add_parser("table", help="reproduce the results table")
     p_table.add_argument("--tmax", required=True, type=int)
     p_table.add_argument("--deep", action="store_true")
-    p_table.add_argument("--workers", type=int, default=1)
     p_table.add_argument("--format", choices=["text", "csv"], default="text")
     p_table.add_argument("--output", default=None)
     return parser

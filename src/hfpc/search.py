@@ -1,14 +1,12 @@
-"""Pruned exhaustive search over generator candidates, with deterministic
-parallelism, one profile per translate class of codes, and reproduction of
-the results table.
+"""Pruned exhaustive search over generator candidates, one profile per
+translate class of codes, and reproduction of the results table.
 
 The raw candidate space for (family, t) is the integer interval [0, 2^4t) in
 the BitVector layout; the candidate stream is its ascending subset of
 plausible generators (weight 2t plus the cheap order filters).  A search is
-one pass: one worker scans the whole space in one kernel call, and in mode
-"all" a process pool of N workers splits it into N contiguous subranges, one
-per worker, whose results are merged in range order, so results are
-identical for any worker count.  Mode "first" always scans in one call.
+one pass in the calling process: one kernel call scans the whole space, in
+mode "all" to its end and in mode "first" up to the first accepted
+candidate.
 Accepted candidates are re-assembled through the reference constructors in
 hfpc.families before being reported, which cross-checks the scan kernels;
 re-assembly and profiling work on int words, and the Hadamard verdict of
@@ -22,9 +20,7 @@ search profiles one code per such class of translates.
 from __future__ import annotations
 
 import math
-import os
 import time
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from operator import itemgetter, xor
 from typing import Iterable
@@ -115,6 +111,9 @@ def candidate_count(tag: str, t: int) -> int:
     raise ValueError("no candidate stream for family %r" % tag)
 
 
+# The search does not call this.  The subrange tests of the scan kernels do,
+# and the benchmark's tracer hooks this name for its search.chunks metric, so
+# it stays until that hook goes.
 def _partition(lo: int, hi: int, chunks: int) -> list[tuple[int, int]]:
     """Contiguous subranges by leading range fraction; exact cover of [lo, hi)."""
     span = hi - lo
@@ -125,27 +124,14 @@ def _partition(lo: int, hi: int, chunks: int) -> list[tuple[int, int]]:
     ]
 
 
-def _scan_chunk(args: tuple) -> tuple:
-    family, t, lo, hi, first_only = args
+def _scan(family: str, t: int, first_only: bool = False) -> tuple:
+    """The scan kernel's (accepted items, counters) over the whole word range
+    [0, 2^4t), in one call.  The kernel is looked up in _backend at call
+    time, so that replacing it there replaces it here."""
+    hi = 1 << (4 * t)
     if family == "tqu":
-        return _backend.scan_quaternion(t, lo, hi, first_only)
-    return _backend.scan_two_generator(_FAMILY_CODE[family], t, lo, hi, first_only)
-
-
-def _run_chunks(chunk_args: list[tuple], workers: int) -> list[tuple]:
-    """Scan every chunk; results in range order.
-
-    The pool gets one process per chunk, but no more than the CPU count: a
-    forked pool starts all of its processes at the first submit.
-    """
-    workers = min(workers, len(chunk_args), os.cpu_count() or 1)
-    if workers <= 1:
-        return [_scan_chunk(args) for args in chunk_args]
-    # imported here so that one-worker runs never load multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(workers) as ex:
-        return list(ex.map(_scan_chunk, chunk_args))
+        return _backend.scan_quaternion(t, 0, hi, first_only)
+    return _backend.scan_two_generator(_FAMILY_CODE[family], t, 0, hi, first_only)
 
 
 def _verify(family: str, t: int, item) -> PropelinearCode:
@@ -174,7 +160,7 @@ def _power_positions(family: str, t: int) -> tuple[int, ...]:
     return tuple(map(labels.index, [(k, 0, 0) for k in range(period)] + [end]))
 
 
-def _translate_key(code: PropelinearCode, powers: itemgetter) -> frozenset[int]:
+def _translate_key(code: PropelinearCode, powers: itemgetter) -> tuple[int, ...]:
     """A key of the code set C + w, equal for all translates of C that the
     search meets, with w the word of a power of g; powers picks the words
     w_0 .. w_P of g^0 .. g^P from code.values.
@@ -187,12 +173,13 @@ def _translate_key(code: PropelinearCode, powers: itemgetter) -> frozenset[int]:
     lands on the same power of g and both keys are C + w_{k*}; a tie can
     only split a class, which costs a profile, not a wrong one.  A key is
     only ever shared by translates C + x with x in C, and those have the
-    span and the kernel of C, as 0 is in C.  The key is the set of words.
+    span and the kernel of C, as 0 is in C.  The key is the sorted tuple of
+    the words, which takes less memory than a frozenset of them.
     """
     ws = powers(code.values)
     steps = list(map(xor, ws, ws[1:]))  # pi_g^k(g), k < P
     w = ws[steps.index(min(steps))]
-    return frozenset(map(w.__xor__, code.values))
+    return tuple(sorted(map(w.__xor__, code.values)))
 
 
 def _accepted_codes(
@@ -203,7 +190,7 @@ def _accepted_codes(
     whose class was profiled before gets that profile with its own
     generator fields, the bytes profile(code) would give."""
     accepted: list[AcceptedCode] = []
-    profile_cache: dict[frozenset[int], CodeProfile] = {}
+    profile_cache: dict[tuple[int, ...], CodeProfile] = {}
     searched = "d" if family == "tqu" else "a"
     powers = itemgetter(*_power_positions(family, t))
     for code in codes:
@@ -226,34 +213,21 @@ def run_search(task: SearchTask, workers: int = 1) -> SearchResult:
     once per class of codes that are translates of each other by a codeword
     (pi_x(C) = x + C; see _translate_key) and shared within the class.
 
-    Output (accepted order, counters) is independent of the worker count: in
-    mode "all" counters are sums over an exact partition, and mode "first"
-    scans serially and stops counting at the first accepted candidate in
-    stream order.
+    Mode "all" counts the whole stream; mode "first" stops counting at the
+    first accepted candidate in stream order.  workers has no effect: every
+    search is one kernel call in this process.  The keyword stays because
+    the benchmark's data recorder still passes workers=1.
     """
     if task.family not in SEARCH_TAGS:
         raise ValueError("unknown family %r" % task.family)
     if task.family == "tqu" and task.t % 2 == 0:
         raise ValueError("quaternion family requires odd t")
-    workers = max(1, workers)
     t0 = time.perf_counter()
     counter_names = (
         _QUATERNION_COUNTERS if task.family == "tqu" else _TWO_GEN_COUNTERS
     )
-    first_only = task.mode == "first"
-
-    # first mode scans in one chunk: in a pool every chunk would run to its
-    # own first code, and all but the first chunk's would be thrown away
-    chunk_args = [
-        (task.family, task.t, lo, hi, first_only)
-        for lo, hi in _partition(0, 1 << (4 * task.t), 1 if first_only else workers)
-    ]
-    counters = Counter()
-    accepted_raw: list = []
-    for acc, ctr in _run_chunks(chunk_args, workers):
-        for name, val in zip(counter_names, ctr):
-            counters[name] += val
-        accepted_raw.extend(acc)
+    accepted_raw, ctr = _scan(task.family, task.t, task.mode == "first")
+    counters = dict(zip(counter_names, ctr))
 
     codes = (_verify(task.family, task.t, item) for item in accepted_raw)
     accepted, _ = _accepted_codes(task.family, task.t, codes)
@@ -262,7 +236,7 @@ def run_search(task: SearchTask, workers: int = 1) -> SearchResult:
         family=task.family,
         t=task.t,
         accepted=accepted,
-        counters=dict(counters),
+        counters=counters,
         distinct_code_sets=len({a.vector_values for a in accepted}),
         wall_time=time.perf_counter() - t0,
     )
@@ -292,9 +266,7 @@ class TableCell:
     distinct: int = 0
 
 
-def reproduce_table(
-    t_max: int, deep: bool = False, workers: int = 1
-) -> list[list[TableCell]]:
+def reproduce_table(t_max: int, deep: bool = False) -> list[list[TableCell]]:
     """One row per t, one cell per family, mirroring the results table."""
     rows = []
     for t in range(1, t_max + 1):
@@ -310,7 +282,7 @@ def reproduce_table(
             if count > DEEP_GATE and not deep:
                 row.append(TableCell(tag, t, "skipped-budget", candidates=count))
                 continue
-            result = run_search(SearchTask(tag, t, mode="all"), workers=workers)
+            result = run_search(SearchTask(tag, t, mode="all"))
             profs = tuple(sorted({a.profile.rk for a in result.accepted}))
             row.append(
                 TableCell(

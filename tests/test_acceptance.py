@@ -6,6 +6,7 @@ additionally reports one line per criterion.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import time
@@ -41,7 +42,6 @@ from helpers import (
 )
 
 V = BitVector.from_string
-WORKERS = 4
 
 
 def _report(n: int, text: str) -> None:
@@ -50,7 +50,7 @@ def _report(n: int, text: str) -> None:
 
 @pytest.fixture(scope="module")
 def t7_result():
-    return run_search(SearchTask("tqu", 7, mode="all"), workers=WORKERS)
+    return run_search(SearchTask("tqu", 7, mode="all"))
 
 
 def test_criterion_01_order16_example_one():
@@ -90,7 +90,7 @@ def test_criterion_03_cchm_checks():
 
 def test_criterion_04_table_reproduction():
     t0 = time.perf_counter()
-    rows = reproduce_table(5, workers=WORKERS)
+    rows = reproduce_table(5)
     elapsed = time.perf_counter() - t0
     for row in rows:
         for cell in row:
@@ -127,7 +127,7 @@ def test_criterion_05_quaternion_t7(t7_result):
 
 def test_criterion_06_deep_t8_enumeration():
     t0 = time.perf_counter()
-    res = run_search(SearchTask("2t4u", 8, mode="all"), workers=WORKERS)
+    res = run_search(SearchTask("2t4u", 8, mode="all"))
     elapsed = time.perf_counter() - t0
     assert {a.profile.rk for a in res.accepted} == {(11, 2), (13, 1)}
     assert res.counters["examined"] == 300546630
@@ -233,27 +233,36 @@ def _cli_bytes(argv: list[str]) -> str:
 
 
 def test_criterion_09_determinism():
+    # sha256 of each reference command's stdout, recorded in fresh processes
+    # before the search lost its process pool, when they were also equal with
+    # --workers 1 and --workers 3
     commands = [
-        ["verify", "--family", "2t4u", "--t", "8", "--a", GENERATOR_A],
-        ["verify", "--family", "2t4u", "--t", "8", "--a", GENERATOR_B],
-        ["cchm", "check", "--row", ORDER16_ROW_A],
-        ["cchm", "from-code", "--t", "8", "--a", GENERATOR_A],
-        ["search", "--family", "tqu", "--t", "3", "--all"],
-        ["search", "--family", "2t22u", "--t", "4", "--all"],
-        ["search", "--family", "4tu2", "--t", "4", "--all"],
-        ["search", "--family", "2t4u", "--t", "4", "--all"],
-        ["search", "--family", "tqu", "--t", "5", "--all"],
-        ["table", "--tmax", "5", "--format", "csv"],
+        (["verify", "--family", "2t4u", "--t", "8", "--a", GENERATOR_A],
+         "7f80b568d3e9387e8ed3418bf4c1b05d0315e4f86e9452d9a4f909cfe69c513a"),
+        (["verify", "--family", "2t4u", "--t", "8", "--a", GENERATOR_B],
+         "93510594efc84f218d75fa9d228d78c5c3d224e4e337ac9497290793137001af"),
+        (["cchm", "check", "--row", ORDER16_ROW_A],
+         "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74"),
+        (["cchm", "from-code", "--t", "8", "--a", GENERATOR_A],
+         "7fad4e6b63cb0e1f16e85d51c57d41f6f2ed9128f1a885fcfdc208894a76da2a"),
+        (["search", "--family", "tqu", "--t", "3", "--all"],
+         "eac3a5d51fe25035db7ced8c4a1c3e8884b5bc9fe95804b05a5698070ab39169"),
+        (["search", "--family", "2t22u", "--t", "4", "--all"],
+         "1a5707a1c927b5073c801021537da66ff71de9e392fa05e3dafcd179495728b4"),
+        (["search", "--family", "4tu2", "--t", "4", "--all"],
+         "0eb484f43b3548c3b417bf13c0d62c1dd09871386e0cd8f4a6c1645a8680f6ba"),
+        (["search", "--family", "2t4u", "--t", "4", "--all"],
+         "20f32481e82f277f0902ec6307d05619bdf85020991fde39df1de03e9c3d4a51"),
+        (["search", "--family", "tqu", "--t", "5", "--all"],
+         "1485565c4efa73243951faf4e60ac4fb596c1e05605cdf1e04c461ba065041bf"),
+        (["table", "--tmax", "5", "--format", "csv"],
+         "9c8c598208bf8e6b9f0020b2e511de3e76986eebdfe8f9c82c4b7388bc14840c"),
     ]
-    for argv in commands:
-        runs = []
-        for workers in ("1", "3"):
-            full = list(argv)
-            if argv[0] in ("search", "table"):
-                full += ["--workers", workers]
-            runs.append(_cli_bytes(full))
-        assert runs[0] == runs[1], argv
+    for argv, digest in commands:
+        runs = [_cli_bytes(argv) for _ in range(2)]
+        for out in runs:
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
         for line in runs[0].splitlines():
             if line.startswith("{"):
                 json.loads(line)  # every JSON line stays parseable
-    _report(9, "all reference commands byte-identical across worker counts")
+    _report(9, "all reference commands give their recorded bytes on every run")

@@ -125,12 +125,12 @@ def test_join_matches_survivor_scan_on_full_ranges():
 
 
 def test_join_matches_survivor_scan_on_pool_chunks():
-    # each chunk of the search layer's partition for 2 and 3 workers, and
-    # both modes on windows across each chunk edge
+    # each chunk of the 2- and 3-chunk partitions of the range, and both
+    # modes on windows across each chunk edge
     for t in (6, 8):
         span = 1 << (4 * t)
-        for workers in (2, 3):
-            chunks = _partition(0, span, workers)
+        for parts in (2, 3):
+            chunks = _partition(0, span, parts)
             for fam in (0, 1, 2):
                 merged, counters = [], [0, 0, 0]
                 for lo, hi in chunks:
@@ -686,14 +686,14 @@ def _rotations(d, t):
 def test_orbit_walk_matches_survivor_walk_on_every_cell_and_pool_chunk():
     # the all-mode orbit walk against the walk that visits every survivor,
     # in counters and accepted list, on every tqu cell with t <= 9, whole
-    # and in the _partition chunks of a pool of 2 and of 3 workers: an orbit
-    # straddles chunk bounds, and each chunk counts only its own words (the
-    # oracle's memo of rejected orbits holds for any range, so one serves all)
+    # and in the 2 and the 3 chunks of _partition: an orbit straddles chunk
+    # bounds, and each chunk counts only its own words (the oracle's memo of
+    # rejected orbits holds for any range, so one serves all)
     for t in (1, 3, 5, 7, 9):
         tab = _scan_py._quaternion_tables(t)
         memo: dict[int, int] = {}
-        for workers in (1, 2, 3):
-            for lo, hi in _partition(0, 1 << (4 * t), workers):
+        for parts in (1, 2, 3):
+            for lo, hi in _partition(0, 1 << (4 * t), parts):
                 want = _scan_py._walk(tab, lo, hi, False, memo)
                 assert _scan_py._orbit_walk(tab, lo, hi) == want, (t, lo, hi)
 

@@ -86,10 +86,15 @@ def test_search_json_lines():
     assert "search tqu t=3" in err
 
 
-def test_search_deterministic_bytes():
-    _, out1, _ = run_cli("search", "--family", "2t22u", "--t", "4", "--all", "--workers", "1")
-    _, out2, _ = run_cli("search", "--family", "2t22u", "--t", "4", "--all", "--workers", "3")
-    assert out1 == out2
+def test_workers_flag_is_a_usage_error():
+    # every search runs in one process; a worker count is not an option
+    for argv in (
+        ("search", "--family", "2t22u", "--t", "4", "--all", "--workers", "2"),
+        ("table", "--tmax", "3", "--format", "csv", "--workers", "2"),
+    ):
+        code, out, err = run_cli(*argv)
+        assert code == 64 and out == "", argv
+        assert "unrecognized arguments: --workers 2" in err, argv
 
 
 def test_cchm_cli():
@@ -130,12 +135,6 @@ def test_table_text_and_csv():
     assert cells[("2", "tqu")][0] == "not-applicable"
 
 
-def test_table_deterministic_bytes():
-    _, out1, _ = run_cli("table", "--tmax", "3", "--workers", "1", "--format", "csv")
-    _, out2, _ = run_cli("table", "--tmax", "3", "--workers", "2", "--format", "csv")
-    assert out1 == out2
-
-
 def test_output_file(tmp_path):
     path = tmp_path / "res.jsonl"
     code, out, _ = run_cli(
@@ -162,7 +161,7 @@ def test_conjecture_flagging(monkeypatch):
         accepted=[AcceptedCode("2t4u", 10, "01" * 20, prof, frozenset({0, (1 << 40) - 1}))],
         counters={"examined": 1}, distinct_code_sets=1, wall_time=0.0,
     )
-    monkeypatch.setattr(cli_mod, "run_search", lambda task, workers: fake)
+    monkeypatch.setattr(cli_mod, "run_search", lambda task: fake)
     monkeypatch.setattr(cli_mod, "candidate_count", lambda f, t: 1)
     code, out, _ = run_cli("search", "--family", "2t4u", "--t", "10", "--all", "--deep")
     assert code == 0

@@ -26,7 +26,7 @@ from hfpc.families import (
 from hfpc.gf2 import BitVector
 from hfpc.hadamard import is_hadamard_code
 from hfpc.perms import apply, compose, identity
-from hfpc.search import _scan_chunk, analytic_nonexistence
+from hfpc.search import _scan, analytic_nonexistence
 from hfpc.propelinear import (
     PropelinearElement,
     associated_group_order,
@@ -435,7 +435,7 @@ def test_int_constructors_match_bitvector_builder_on_accepted_codes():
     checked = 0
     for tag, t in list(_searched_cells(6)) + [("tqu", 7)]:
         n = 4 * t
-        accepted, _ = _scan_chunk((tag, t, 0, 1 << n, False))
+        accepted, _ = _scan(tag, t)
         for item in accepted:
             if tag == "tqu":
                 d, a, b = (BitVector(n, x) for x in item)
@@ -512,7 +512,7 @@ def test_four_tqu_variants_match_the_eight_variant_oracle():
     code sets in the same order, the same a and b, the same first Reject."""
     cases = [(3, d) for d in all_weight_w(12, 6)]
     for t in (3, 5):
-        accepted, _ = _scan_chunk(("tqu", t, 0, 1 << (4 * t), False))
+        accepted, _ = _scan("tqu", t)
         cases += [(t, d) for d in sorted({d for d, _, _ in accepted})]
     with_codes = 0
     for t, d in cases:

@@ -258,7 +258,7 @@ def test_kernel_probes_keep_the_members(accepted_pool):
     rng = random.Random(1115)
     codes = [rebuild_code(a) for result in accepted_pool.values() for a in result.accepted]
     for tag, t in (("tqu", 7), ("2t4u", 8)):
-        items, _ = search._scan_chunk((tag, t, 0, 1 << (4 * t), False))
+        items, _ = search._scan(tag, t)
         codes += [search._verify(tag, t, item) for item in rng.sample(items, 200)]
     dims = set()
     for code in codes:

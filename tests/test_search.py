@@ -120,9 +120,9 @@ def test_run_search_quaternion_t9_first_mode_counters():
 
 
 def test_quaternion_t9_full_scan_counters():
-    # the whole 1,134,373,680-candidate tqu t = 9 stream, summed over the
-    # two chunks of a two-worker pool, every code re-assembled
-    res = run_search(SearchTask("tqu", 9, mode="all"), workers=2)
+    # the whole 1,134,373,680-candidate tqu t = 9 stream in one call, every
+    # code re-assembled
+    res = run_search(SearchTask("tqu", 9, mode="all"))
     assert res.counters == {
         "examined": 1134373680,
         "rejected_power": 1114716924,
@@ -161,12 +161,12 @@ def test_quaternion_t11_full_scan_counters():
 
 
 def test_two_generator_t10_cells_are_empty():
-    # the t = 10 row: both searched cells over a two-worker pool, exact counters
+    # the t = 10 row: both searched cells, exact counters
     for tag, counters in (
         ("2t4u", (68923356788, 68922639988, 716800)),
         ("4tu2", (68923172032, 68922128832, 1043200)),
     ):
-        res = run_search(SearchTask(tag, 10, mode="all"), workers=2)
+        res = run_search(SearchTask(tag, 10, mode="all"))
         assert res.counters == {
             "examined": counters[0],
             "rejected_power": counters[1],
@@ -192,27 +192,9 @@ def test_run_search_4tu2_t8_exact_counts():
     assert res.accepted == [] and res.distinct_code_sets == 0
 
 
-def test_run_search_deterministic_across_workers():
-    def strip(res):
-        return (
-            [a.candidate for a in res.accepted],
-            [a.profile.to_json_dict() for a in res.accepted],
-            res.counters,
-            res.distinct_code_sets,
-        )
-
-    base = strip(run_search(SearchTask("tqu", 3, mode="all"), workers=1))
-    for workers in (2, 3):
-        assert strip(run_search(SearchTask("tqu", 3, mode="all"), workers=workers)) == base
-    f1 = strip(run_search(SearchTask("2t4u", 4, mode="first"), workers=1))
-    f4 = strip(run_search(SearchTask("2t4u", 4, mode="first"), workers=4))
-    assert f1 == f4
-    a1 = strip(run_search(SearchTask("2t4u", 4, mode="all"), workers=1))
-    a2 = strip(run_search(SearchTask("2t4u", 4, mode="all"), workers=2))
-    assert a1 == a2
-
-
-def test_one_worker_scans_its_range_in_one_call(monkeypatch):
+def test_search_scans_its_range_in_one_call(monkeypatch):
+    # both modes: one kernel call over [0, 2^4t) in this process; workers=3
+    # pins that the keyword has no effect
     import hfpc._backend as backend
 
     calls = []
@@ -228,72 +210,20 @@ def test_one_worker_scans_its_range_in_one_call(monkeypatch):
     for task in (
         SearchTask("2t4u", 4, mode="all"),
         SearchTask("tqu", 5, mode="all"),
+        SearchTask("2t4u", 4, mode="first"),
+        SearchTask("tqu", 5, mode="first"),
         SearchTask("tqu", 7, mode="first"),
     ):
-        calls.clear()
-        run_search(task, workers=1)
-        assert calls == [(0, 1 << (4 * task.t))], task
-
-
-def test_pool_gets_one_chunk_per_worker(monkeypatch):
-    import hfpc.search as search_mod
-
-    parts = []
-    partition = search_mod._partition
-
-    def recording(*args):
-        parts.append(partition(*args))
-        return parts[-1]
-
-    monkeypatch.setattr(search_mod, "_partition", recording)
-    for workers in (1, 2, 3):
-        parts.clear()
-        run_search(SearchTask("tqu", 3, mode="all"), workers=workers)
-        [chunks] = parts
-        assert len(chunks) == workers
-        assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]]
-        assert chunks[-1][1] == 1 << 12
-        assert all(lo < hi for lo, hi in chunks)
-
-
-def test_pool_is_capped_at_chunks_and_cpus(monkeypatch):
-    import concurrent.futures
-    import os
-
-    pools = []  # (max_workers, chunks) of each pool
-
-    class SerialPool:  # starts no process
-        def __init__(self, max_workers):
-            self.max_workers = max_workers
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, args):
-            args = list(args)
-            pools.append((self.max_workers, len(args)))
-            return map(fn, args)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    serial = run_search(SearchTask("tqu", 3, mode="all"), workers=1)
-    for t, workers, cpus, pool in (
-        (1, 64, 64, [(16, 16)]),  # tqu t = 1 splits into at most 16 chunks
-        (3, 8, 2, [(2, 8)]),  # 8 chunks on 2 processes
-        (3, 3, 4, [(3, 3)]),
-        (3, 5, None, []),  # an unknown CPU count scans serially
-    ):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        pools.clear()
-        res = run_search(SearchTask("tqu", t, mode="all"), workers=workers)
-        assert pools == pool, (t, workers, cpus)
-        if t == 3:
-            assert res.counters == serial.counters
-            assert [a.candidate for a in res.accepted] == [
-                a.candidate for a in serial.accepted
-            ]
+        want = None
+        for workers in (1, 3):
+            calls.clear()
+            res = run_search(task, workers=workers)
+            assert calls == [(0, 1 << (4 * task.t))], (task, workers)
+            got = ([a.candidate for a in res.accepted], res.counters)
+            assert got == (want or got), (task, workers)
+            want = got
+        if task.mode == "first":
+            assert len(want[0]) == 1, task
 
 
 def test_dedup():
@@ -420,33 +350,3 @@ def test_stream_rejects_bad_tags():
         candidate_count("nope", 1)
     with pytest.raises(ValueError):
         run_search(SearchTask("tqu", 2, mode="all"))
-
-
-def test_first_mode_scans_in_one_call_for_any_worker_count(monkeypatch):
-    import concurrent.futures
-
-    import hfpc._backend as backend
-
-    calls = []
-
-    def recording(kernel):
-        def wrapped(*args):
-            calls.append(args[-3:-1])  # (lo, hi) of the call
-            return kernel(*args)
-        return wrapped
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("first mode started a process pool")
-
-    for name in ("scan_two_generator", "scan_quaternion"):
-        monkeypatch.setattr(backend, name, recording(getattr(backend, name)))
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    for task in (SearchTask("2t4u", 4, mode="first"), SearchTask("tqu", 5, mode="first")):
-        want = None
-        for workers in (1, 2, 3):
-            calls.clear()
-            res = run_search(task, workers=workers)
-            assert calls == [(0, 1 << (4 * task.t))], (task, workers)
-            got = ([a.candidate for a in res.accepted], res.counters)
-            assert len(got[0]) == 1 and got == (want or got), (task, workers)
-            want = got

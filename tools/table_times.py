@@ -17,7 +17,7 @@ parts by a-weight signature, in bulk.  ``--scan FAMILY T``
 builds that cell's tables (the join table for 4tu2, 2t22u or 2t4u, the
 quaternion and class tables for tqu; timed as above), so that ``scan_s``
 covers the walk alone, then times the scan kernel in all mode
-over the whole range [0, 2^4t) in one ``search._scan_chunk`` call, then
+over the whole range [0, 2^4t) in one ``search._scan`` call, then
 what ``search.run_search`` does with the accepted items, in two stages:
 ``verify_s`` re-assembles each through ``search._verify``, and ``profile_s``
 runs ``search._accepted_codes`` on those codes, which profiles one code per
@@ -81,9 +81,7 @@ def main() -> None:
             quaternion_times(t, out)
         else:
             _, out["join_table_s"] = timed(_scan_py._join_table, 2 * t)
-        (accepted, counters), out["scan_s"] = timed(
-            search._scan_chunk, (family, t, 0, 1 << (4 * t), False)
-        )
+        (accepted, counters), out["scan_s"] = timed(search._scan, family, t)
         out["counters"] = list(counters)
         out["accepted"] = len(accepted)
         codes, out["verify_s"] = timed(
