@@ -86,6 +86,12 @@ def test_search_json_lines():
     assert "search tqu t=3" in err
 
 
+def test_search_deterministic_bytes():
+    _, out1, _ = run_cli("search", "--family", "2t22u", "--t", "4", "--all")
+    _, out2, _ = run_cli("search", "--family", "2t22u", "--t", "4", "--all")
+    assert out1 and out1 == out2
+
+
 def test_workers_flag_is_a_usage_error():
     # every search runs in one process; a worker count is not an option
     for argv in (
@@ -133,6 +139,12 @@ def test_table_text_and_csv():
     assert cells[("1", "4tu2")][1] == "3:3"
     assert cells[("2", "2t22u")][0] == "analytic"
     assert cells[("2", "tqu")][0] == "not-applicable"
+
+
+def test_table_deterministic_bytes():
+    _, out1, _ = run_cli("table", "--tmax", "3", "--format", "csv")
+    _, out2, _ = run_cli("table", "--tmax", "3", "--format", "csv")
+    assert out1 and out1 == out2
 
 
 def test_output_file(tmp_path):

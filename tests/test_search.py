@@ -192,9 +192,7 @@ def test_run_search_4tu2_t8_exact_counts():
     assert res.accepted == [] and res.distinct_code_sets == 0
 
 
-def test_search_scans_its_range_in_one_call(monkeypatch):
-    # both modes: one kernel call over [0, 2^4t) in this process; workers=3
-    # pins that the keyword has no effect
+def test_one_worker_scans_its_range_in_one_call(monkeypatch):
     import hfpc._backend as backend
 
     calls = []
@@ -210,20 +208,11 @@ def test_search_scans_its_range_in_one_call(monkeypatch):
     for task in (
         SearchTask("2t4u", 4, mode="all"),
         SearchTask("tqu", 5, mode="all"),
-        SearchTask("2t4u", 4, mode="first"),
-        SearchTask("tqu", 5, mode="first"),
         SearchTask("tqu", 7, mode="first"),
     ):
-        want = None
-        for workers in (1, 3):
-            calls.clear()
-            res = run_search(task, workers=workers)
-            assert calls == [(0, 1 << (4 * task.t))], (task, workers)
-            got = ([a.candidate for a in res.accepted], res.counters)
-            assert got == (want or got), (task, workers)
-            want = got
-        if task.mode == "first":
-            assert len(want[0]) == 1, task
+        calls.clear()
+        run_search(task, workers=1)
+        assert calls == [(0, 1 << (4 * task.t))], task
 
 
 def test_dedup():
@@ -350,3 +339,42 @@ def test_stream_rejects_bad_tags():
         candidate_count("nope", 1)
     with pytest.raises(ValueError):
         run_search(SearchTask("tqu", 2, mode="all"))
+
+
+def test_first_mode_scans_in_one_call_for_any_worker_count(monkeypatch):
+    # every search runs in one process: the inert workers keyword changes
+    # neither the kernel calls nor the result, in both modes
+    import concurrent.futures
+
+    import hfpc._backend as backend
+
+    calls = []
+
+    def recording(kernel):
+        def wrapped(*args):
+            calls.append(args[-3:-1])  # (lo, hi) of the call
+            return kernel(*args)
+        return wrapped
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a search started a process pool")
+
+    for name in ("scan_two_generator", "scan_quaternion"):
+        monkeypatch.setattr(backend, name, recording(getattr(backend, name)))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    for task in (
+        SearchTask("2t4u", 4, mode="first"),
+        SearchTask("tqu", 5, mode="first"),
+        SearchTask("2t4u", 4, mode="all"),
+        SearchTask("tqu", 5, mode="all"),
+    ):
+        want = None
+        for workers in (1, 2, 3):
+            calls.clear()
+            res = run_search(task, workers=workers)
+            assert calls == [(0, 1 << (4 * task.t))], (task, workers)
+            got = ([a.candidate for a in res.accepted], res.counters)
+            assert got == (want or got), (task, workers)
+            want = got
+        if task.mode == "first":
+            assert len(want[0]) == 1, task
