@@ -13,6 +13,7 @@ import json
 import sys
 from contextlib import nullcontext
 from functools import cache
+from typing import Iterator
 
 from .cchm import (
     MalformedCosetHit,
@@ -27,6 +28,7 @@ from .gf2 import BitVector, _echelon, _reduced_basis
 from .hadamard import BoundViolation, _is_hadamard_words, _kernel, _values, profile
 from .search import (
     DEEP_GATE,
+    AcceptedCode,
     SearchTask,
     TableCell,
     candidate_count,
@@ -70,6 +72,27 @@ def _parse_vector(text: str, n: int, parser: _Parser) -> BitVector:
     return v
 
 
+def _flags_counterexamples(family: str, t: int) -> bool:
+    # codes of this family beyond t = 8 would contradict the nonexistence
+    # conjecture for circulant complex Hadamard matrices; dump them in full
+    return family == "2t4u" and t > 8
+
+
+def _accepted_records(
+    accepted: list[AcceptedCode], family: str, t: int
+) -> Iterator[dict]:
+    """The JSON record search writes for each accepted code, in order."""
+    flag = _flags_counterexamples(family, t)
+    for acc in accepted:
+        record = acc.profile.to_json_dict()
+        if flag:
+            record["conjecture_counterexample_candidate"] = True
+            record["codewords"] = sorted(
+                format(v, "0%db" % (4 * t)) for v in acc.vector_values
+            )
+        yield record
+
+
 def cmd_search(args, parser: _Parser) -> int:
     count = candidate_count(args.family, args.t)
     if count > DEEP_GATE and not args.deep:
@@ -85,17 +108,9 @@ def cmd_search(args, parser: _Parser) -> int:
         except BoundViolation as exc:
             sys.stderr.write("bound violation: %s\n" % exc)
             return INTERNAL_EXIT
-        # codes of this family beyond t = 8 would contradict the nonexistence
-        # conjecture for circulant complex Hadamard matrices; dump them in full
-        flag_counterexamples = args.family == "2t4u" and args.t > 8
-        for acc in result.accepted:
-            record = acc.profile.to_json_dict()
-            if flag_counterexamples:
-                record["conjecture_counterexample_candidate"] = True
-                record["codewords"] = sorted(
-                    format(v, "0%db" % (4 * args.t)) for v in acc.vector_values
-                )
+        for record in _accepted_records(result.accepted, args.family, args.t):
             _dump(record, out)
+        flag_counterexamples = _flags_counterexamples(args.family, args.t)
         summary = {
             "type": "summary",
             "family": result.family,

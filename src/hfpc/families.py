@@ -30,7 +30,7 @@ from functools import cache
 from .gf2 import BitVector
 from .hadamard import code_is_hadamard
 from .perms import Permutation, act, compose, from_cycles, has_fixed_point, identity
-from .propelinear import Label, PropelinearCode, PropelinearElement
+from .propelinear import Label, PropelinearCode
 
 __all__ = [
     "FAMILY_TAGS",
@@ -179,10 +179,17 @@ def _power_chain(p: Permutation, count: int) -> list[Permutation]:
 
 
 @cache
-def _fixed_point_verdicts(tag: str, t: int) -> tuple[tuple[bool, bool], ...]:
-    """(pi is the identity, pi has a fixed point) for every element_perms entry."""
+def _fixed_point_slots(tag: str, t: int) -> tuple[frozenset[int], tuple[int, ...]]:
+    """Positions in element_perms order of the identity permutations, and of
+    those with a fixed point, the identity's among them.  In every family
+    both are the slots of e and u: pi_g^j is fixed-point free for 0 < j <
+    its order, and so is each product with pi_b, pi_a or pi_a pi_b."""
+    perms = element_perms(tag, t)
     ident = identity(4 * t)
-    return tuple((p == ident, has_fixed_point(p)) for p in element_perms(tag, t))
+    return (
+        frozenset(i for i, p in enumerate(perms) if p == ident),
+        tuple(i for i, p in enumerate(perms) if has_fixed_point(p)),
+    )
 
 
 def _prefix_xor(x: int, n: int) -> int:
@@ -340,29 +347,33 @@ def _finish_code(
     tag: str,
     t: int,
     values: tuple[int, ...],
-    generators: dict[str, PropelinearElement],
+    generators: dict[str, Label],
 ) -> PropelinearCode | Reject:
+    """The code of an element table in element_perms order, or the first
+    failure: distinct words, then full propelinearity in element order, then
+    the Hadamard verdict.  generators maps each generator's name to its
+    label."""
     n = 4 * t
     full = (1 << n) - 1
     if len(set(values)) != len(values):
         return Reject("distinct", "duplicate vectors in the element table")
-    # values are in element_perms order
-    for v, (is_identity, fixed) in zip(values, _fixed_point_verdicts(tag, t)):
-        if v in (0, full):
-            if not is_identity:
-                return Reject("full_propelinear", "e or u with nontrivial permutation")
-        elif fixed:
-            return Reject("full_propelinear", "fixed point at %s" % BitVector(n, v))
+    # pi must be the identity where e and u sit and fixed-point free
+    # elsewhere; the first position that breaks either fails, as in a walk
+    # over the table
+    idents, fixed = _fixed_point_slots(tag, t)
+    ends = [values.index(w) for w in (0, full) if w in values]
+    wrong = [i for i in ends if i not in idents] + [i for i in fixed if i not in ends]
+    if wrong:
+        i = min(wrong)
+        if i in ends:
+            return Reject("full_propelinear", "e or u with nontrivial permutation")
+        return Reject("full_propelinear", "fixed point at %s" % BitVector(n, values[i]))
     code = PropelinearCode.from_words(
         tag, t, values, element_perms(tag, t), element_labels(tag, t), generators
     )
     if not code_is_hadamard(code):
         return Reject("hadamard", "distance profile is not 2t/4t")
     return code
-
-
-def _element(value: int, perm: Permutation, label: Label) -> PropelinearElement:
-    return PropelinearElement(BitVector(perm.degree, value), perm, label)
 
 
 def _assemble_two_generator(tag: str, t: int, a: BitVector) -> PropelinearCode | Reject:
@@ -385,16 +396,11 @@ def _assemble_two_generator(tag: str, t: int, a: BitVector) -> PropelinearCode |
     # word of a^j b is a^j + pi_a^j(b)
     values: list[int] = []
     rb = bv
-    for wj in powers:
+    for j, wj in enumerate(powers):
+        if j:
+            rb = act(pa, rb)
         values += (wj, wj ^ full, wj ^ rb, wj ^ rb ^ full)
-        rb = act(pa, rb)
-    ident = identity(n)
-    gens = {
-        "a": _element(av, pa, (1, 0, 0)),
-        "b": _element(bv, pb, (0, 1, 0)),
-        "u": _element(full, ident, (0, 0, 1)),
-        "e": _element(0, ident, (0, 0, 0)),
-    }
+    gens = {"a": (1, 0, 0), "b": (0, 1, 0), "u": (0, 0, 1), "e": (0, 0, 0)}
     return _finish_code(tag, t, tuple(values), gens)
 
 
@@ -402,17 +408,11 @@ def _assemble_cyclic(t: int, a: BitVector) -> PropelinearCode | Reject:
     powers = _checked_powers("cyclic4tu", t, a, "a", 4 * t, 0)
     if isinstance(powers, Reject):
         return powers
-    n = 4 * t
-    full = (1 << n) - 1
-    pa = family_perms("cyclic4tu", t)["a"]
+    full = (1 << (4 * t)) - 1
     values: list[int] = []
     for wj in powers:
         values += (wj, wj ^ full)
-    gens = {
-        "a": _element(a.value, pa, (1, 0, 0)),
-        "u": _element(full, identity(n), (0, 0, 1)),
-    }
-    return _finish_code("cyclic4tu", t, tuple(values), gens)
+    return _finish_code("cyclic4tu", t, tuple(values), {"a": (1, 0, 0), "u": (0, 0, 1)})
 
 
 def _quaternion_code(
@@ -435,20 +435,16 @@ def _quaternion_code(
         return Reject("relation", "aba != b")
 
     # d^j a^k b^l over k < 4, l < 2: the word of d^j q is d^j + pi_d^j(q) for
-    # q in e, b, a, ab, and a^2 = u adds u for k >= 2
+    # q in e, b, a, ab (pi_d^j(e) = e), and a^2 = u adds u for k >= 2
     values: list[int] = []
-    q = [0, b, a, ab]
-    for pj in powers:
-        row = [pj ^ v for v in q]
+    qb, qa, qab = b, a, ab
+    for j, pj in enumerate(powers):
+        if j:
+            qb, qa, qab = act(pd, qb), act(pd, qa), act(pd, qab)
+        row = (pj, pj ^ qb, pj ^ qa, pj ^ qab)
         values += row
         values += [v ^ full for v in row]
-        q = [act(pd, v) for v in q]
-    gens = {
-        "d": _element(d, pd, (1, 0, 0)),
-        "a": _element(a, pa, (0, 1, 0)),
-        "b": _element(b, pb, (0, 0, 1)),
-        "u": _element(full, identity(n), (0, 2, 0)),
-    }
+    gens = {"d": (1, 0, 0), "a": (0, 1, 0), "b": (0, 0, 1), "u": (0, 2, 0)}
     return _finish_code("tqu", t, tuple(values), gens)
 
 

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import islice
+from operator import lshift, lt
 from typing import Iterable, Sequence
 
 from .gf2 import BitMatrix, BitVector, _echelon, _reduced_basis
@@ -40,16 +43,84 @@ def is_hadamard_matrix(m: Sequence[Sequence[int]]) -> bool:
 def _orthogonal_rows(masks: Sequence[int], n: int) -> bool:
     """True iff the +-1 rows of length n, given as the masks m_i of their -1
     entries, are pairwise orthogonal.  The inner product of rows i and j is
-    n - 2 wt(m_i + m_j): one popcount per pair replaces n products.  As
-    binary words, the masks are then pairwise at distance n/2.  This is the
-    package's one pairwise distance check: the matrix and code verdicts and
-    the CCHM conversion call it.  The scan's filters need none: their group
-    codes are distance-invariant, so the weights decide."""
-    for i, mi in enumerate(masks):
-        for mj in masks[i + 1 :]:
-            if 2 * (mi ^ mj).bit_count() != n:
-                return False
+    n - 2 wt(m_i + m_j), so as binary words the masks are then pairwise at
+    distance n/2.  This is the package's one pairwise distance check: the
+    matrix and code verdicts and the CCHM conversion call it.  The scan's
+    filters need none: their group codes are distance-invariant, so the
+    weights decide.
+
+    The m masks sit in W-bit slots of one int, W a power of two at least
+    max(n, 8).  For k = 1 .. m // 2 the packed rows are xored with their
+    rotation by k slots, so that slot i holds m_i + m_{i+k mod m}, and every
+    slot's popcount is taken at once (Hacker's Delight, ch. 5): bits summed
+    in pairs, nibbles and bytes by masked shifts, bytes widened to F-bit
+    fields until a count of W bits cannot overflow one, then the fields of
+    each slot summed into its top field by one multiplication.  Each pair
+    (i, j) is some (i, i + k) or (j, j + k), so every pair is counted.
+    """
+    m = len(masks)
+    if m < 2:
+        return True
+    if n % 2:
+        return False
+    # a mask wider than n still has all its bits counted
+    w, shifts, ones, low, m1, m2, m4, widen, fields, tops, lift = _slot_masks(
+        m, max(n, max(masks).bit_length())
+    )
+    packed = sum(map(lshift, masks, shifts))
+    doubled = packed | packed << (m * w)
+    target = (n // 2) * ones << lift
+    for k in range(w, (m // 2) * w + 1, w):
+        x = packed ^ (doubled >> k & low)
+        x -= x >> 1 & m1
+        x = (x & m2) + (x >> 2 & m2)
+        x = (x + (x >> 4)) & m4
+        for s, ms in widen:
+            x = (x + (x >> s)) & ms
+        if x * fields & tops != target:
+            return False
     return True
+
+
+@lru_cache(maxsize=256)
+def _slot_masks(m: int, width: int) -> tuple:
+    """The slot width W and the masks _orthogonal_rows uses on m slots of
+    W >= width bits, built on first use: the slot shifts, a 1 in every
+    slot, the mask of all m slots, the 2-, 4- and 8-bit popcount masks, one
+    (s, mask) step per doubling of the count fields from bytes to F bits,
+    with 2^F > W, the multiplier that sums the fields of a slot into its top
+    field, the mask of those top fields and their offset W - F in the slot.
+    A field sum in the product covers W / F fields, at most W bits, so it
+    never carries into the next field."""
+    w = 8
+    while w < width:
+        w <<= 1
+    f = 8
+    while 1 << f <= w:
+        f <<= 1
+    total = m * w
+
+    def every(unit: int, period: int) -> int:
+        return sum(unit << s for s in range(0, total, period))
+
+    widen = []
+    s = 8
+    while s < f:
+        widen.append((s, every((1 << s) - 1, 2 * s)))
+        s <<= 1
+    return (
+        w,
+        tuple(range(0, total, w)),
+        every(1, w),
+        (1 << total) - 1,
+        every(0b01, 2),
+        every(0b0011, 4),
+        every(0x0F, 8),
+        tuple(widen),
+        sum(1 << s for s in range(0, w, f)),
+        every((1 << f) - 1 << (w - f), w),
+        w - f,
+    )
 
 
 def _values(c: Iterable[BitVector]) -> tuple[int, list[int]]:
@@ -77,27 +148,30 @@ def code_is_hadamard(c: PropelinearCode) -> bool:
 
 
 def _is_hadamard_words(n: int, vals: Sequence[int], t: int) -> bool:
-    """is_hadamard_code on int words of length n.
+    """is_hadamard_code on int words of length n, in one sorted pass.
 
-    Once the set is complement-closed, d(v + u, w) = 4t - d(v, w), so the
-    distance condition holds exactly when the 4t representatives v < v + u
-    are pairwise at distance 2t: the rows of a Hadamard matrix of order 4t,
-    checked by _orthogonal_rows.
+    The 8t sorted words s must be distinct and start at e = 0.  On distinct
+    n-bit words v -> v + u reverses the order, so the set is complement-closed
+    (and holds u = s[-1]) exactly when s[i] + s[-1-i] = u for every i, and
+    its representatives v < v + u are then the first 4t words.  Once the set
+    is complement-closed, d(v + u, w) = 4t - d(v, w), so the distance
+    condition holds exactly when the representatives have weight 0 (e alone)
+    or 2t and are pairwise at distance 2t: the rows of a Hadamard matrix of
+    order 4t, checked by _orthogonal_rows.
     """
-    if n != 4 * t:
+    if n != 4 * t or t < 1 or len(vals) != 8 * t:
         return False
+    s = sorted(vals)
+    if s[0] != 0 or not all(map(lt, s, islice(s, 1, None))):
+        return False
+    half = 4 * t
+    reps = s[:half]
     full = (1 << n) - 1
-    vset = set(vals)
-    if len(vset) != 8 * t or len(vals) != len(vset):
+    if list(map(full.__xor__, reps)) != s[: half - 1 : -1]:
         return False
-    if 0 not in vset or full not in vset:
+    if not {0, 2 * t}.issuperset(map(int.bit_count, reps)):
         return False
-    if not vset.issuperset(map(full.__xor__, vset)):
-        return False
-    # only e has weight 0 and only u weight 4t: every other word has weight 2t
-    if not {0, 2 * t, n}.issuperset(map(int.bit_count, vset)):
-        return False
-    return _orthogonal_rows([v for v in vset if v < v ^ full], n)
+    return _orthogonal_rows(reps, n)
 
 
 def kernel(c: Iterable[BitVector]) -> tuple[BitMatrix, int]:
@@ -242,5 +316,17 @@ def profile(c: PropelinearCode) -> CodeProfile:
 
 def _generator_fields(c: PropelinearCode) -> dict[str, str | None]:
     """generator_a, _b and _d of c's profile: None where c has no such generator."""
-    gens = c.generators
-    return {"generator_" + g: str(gens[g].vector) if g in gens else None for g in "abd"}
+    form = "0%db" % c.length
+    words = {g: c.generator_word(g) for g in "abd"}
+    return {"generator_" + g: None if w is None else format(w, form) for g, w in words.items()}
+
+
+def _with_generators(prof: CodeProfile, c: PropelinearCode) -> CodeProfile:
+    """The profile of a translate of c's class: prof with c's own generator
+    fields, as dataclasses.replace(prof, **_generator_fields(c)) gives it,
+    without replace's walk over the fields and a call of __init__."""
+    out = object.__new__(CodeProfile)
+    fields = out.__dict__
+    fields.update(prof.__dict__)
+    fields.update(_generator_fields(c))
+    return out

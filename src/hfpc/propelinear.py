@@ -108,8 +108,9 @@ class PropelinearCode:
     The primary data are three tuples in element order: the int words
     (``values``), the permutations (``perms``) and the exponent labels
     (``labels``).  The family constructors pass their shared per-(tag, t)
-    permutations and labels through ``from_words``; the PropelinearElement
-    and BitVector objects of ``elements`` are built on first read.
+    permutations and labels through ``from_words``, and each generator as
+    its label; the PropelinearElement and BitVector objects of ``elements``
+    and ``generators`` are built on first read.
     """
 
     def __init__(
@@ -142,8 +143,10 @@ class PropelinearCode:
         values: tuple[int, ...],
         perms: tuple[Permutation, ...],
         labels: tuple[Label | None, ...],
-        generators: dict[str, PropelinearElement],
+        generators: dict[str, PropelinearElement | Label],
     ) -> PropelinearCode:
+        """The code of an element table; generators maps each name to its
+        element, or to the label of the table's element that it is."""
         code = cls.__new__(cls)
         code._set(family, t, 4 * t, values, perms, labels, generators)
         return code
@@ -155,7 +158,7 @@ class PropelinearCode:
         self.values = values
         self.perms = perms
         self.labels = labels
-        self.generators = generators
+        self._generators = generators
         # the Hadamard verdict of the words, memoised by hadamard.code_is_hadamard
         self._hadamard: bool | None = None
 
@@ -170,6 +173,29 @@ class PropelinearCode:
             PropelinearElement(BitVector(n, v), p, label)
             for v, p, label in zip(self.values, self.perms, self.labels)
         )
+
+    @cached_property
+    def generators(self) -> dict[str, PropelinearElement]:
+        """Each generator's element: as given, or built from the table's
+        element at its label."""
+        out = {}
+        for name, g in self._generators.items():
+            if not isinstance(g, PropelinearElement):
+                i = self.labels.index(g)
+                word = BitVector(self.length, self.values[i])
+                g = PropelinearElement(word, self.perms[i], g)
+            out[name] = g
+        return out
+
+    def generator_word(self, name: str) -> int | None:
+        """The word of the generator called name, without building its
+        element; None when the code has no such generator."""
+        g = self._generators.get(name)
+        if g is None:
+            return None
+        if isinstance(g, PropelinearElement):
+            return g.vector.value
+        return self.values[self.labels.index(g)]
 
     @cached_property
     def vector_values(self) -> frozenset[int]:

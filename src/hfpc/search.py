@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import itemgetter, xor
 from typing import Iterable
 
@@ -35,7 +35,7 @@ from .families import (
     element_labels,
 )
 from .gf2 import BitVector
-from .hadamard import CodeProfile, _generator_fields, profile
+from .hadamard import CodeProfile, _with_generators, profile
 from .propelinear import PropelinearCode
 
 __all__ = [
@@ -199,8 +199,8 @@ def _accepted_codes(
         if prof is None:
             prof = profile_cache[key] = profile(code)
         else:
-            prof = replace(prof, **_generator_fields(code))
-        cand = str(code.generators[searched].vector)
+            prof = _with_generators(prof, code)
+        cand = format(code.generator_word(searched), "0%db" % (4 * t))
         accepted.append(AcceptedCode(family, t, cand, prof, code.vector_values))
     return accepted, len(profile_cache)
 

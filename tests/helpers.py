@@ -133,6 +133,15 @@ def translate_kernel(vals) -> list[int]:
     return [z for z in vset if vset.issuperset(map(z.__xor__, vset))]
 
 
+def pairwise_orthogonal_rows(masks, n: int) -> bool:
+    """hfpc.hadamard._orthogonal_rows with one popcount per pair i < j."""
+    for i, mi in enumerate(masks):
+        for mj in masks[i + 1 :]:
+            if 2 * (mi ^ mj).bit_count() != n:
+                return False
+    return True
+
+
 def full_pairwise_is_hadamard_code(c, t: int) -> bool:
     """hfpc.hadamard.is_hadamard_code comparing all C(8t, 2) pairs of words."""
     n, vals = _values(c)

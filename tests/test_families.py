@@ -12,6 +12,7 @@ from hfpc.families import (
     SEARCH_TAGS,
     Reject,
     _finish_code,
+    _fixed_point_slots,
     assemble,
     assemble_quaternion_explicit,
     assemble_quaternion_variants,
@@ -420,6 +421,10 @@ def _assert_same_outcome(new, old) -> None:
         assert not isinstance(new, Reject), new
         assert (new.family, new.t) == (old.family, old.t)
         assert _table(new) == _table(old)
+        assert {g: new.generator_word(g) for g in "abdeu"} == {
+            g: old.generators[g].vector.value if g in old.generators else None
+            for g in "abdeu"
+        }
 
 
 def _searched_cells(t_max: int):
@@ -531,27 +536,48 @@ def test_four_tqu_variants_match_the_eight_variant_oracle():
 
 
 def test_finish_code_verdicts_match_bitvector_builder():
-    """The distinctness and fixed-point verdicts, which no candidate reaches
-    once its powers pass, on element tables edited by hand."""
-    for tag, t, cand in (("2t22u", 1, "1100"), ("2t4u", 4, "0110100100001111")):
+    """The distinctness and full-propelinearity verdicts, which no candidate
+    reaches once its powers pass, on element tables edited by hand: each
+    full-propelinear table breaks the check at two positions, so the first
+    failure in element order decides the detail."""
+    for tag, t, cand in (
+        ("2t22u", 1, "1100"),
+        ("2t4u", 4, "0110100100001111"),
+        ("tqu", 3, "111011100000"),
+    ):
         n = 4 * t
         good = assemble(tag, t, V(cand)).values
-        tables = {
-            "distinct": good[:1] + good[:1] + good[2:],
-            # e's slot carries the identity, which fixes every coordinate
-            "full_propelinear": (good[2],) + good[1:2] + (good[0],) + good[3:],
-        }
-        details = {
-            "distinct": "duplicate vectors in the element table",
-            "full_propelinear": "fixed point at %s" % BitVector(n, good[2]),
-        }
-        for reason, values in tables.items():
+        # e sits at position 0 and u at 1, or at 4 for tqu (label (0, 2, 0))
+        u_slot = 4 if tag == "tqu" else 1
+        assert _fixed_point_slots(tag, t) == (frozenset({0, u_slot}), (0, u_slot))
+        tables = [
+            (
+                good[:1] + good[:1] + good[2:],
+                "distinct",
+                "duplicate vectors in the element table",
+            ),
+            # e's slot carries the identity, which fixes every coordinate, and
+            # e moves to a slot whose permutation is not the identity
+            (
+                (good[2],) + good[1:2] + (good[0],) + good[3:],
+                "full_propelinear",
+                "fixed point at %s" % BitVector(n, good[2]),
+            ),
+        ]
+        if tag == "tqu":
+            # u and a swap places: u's word meets pi_a at position 2, ahead
+            # of a's word on the identity at position 4
+            swapped = good[:2] + good[4:5] + good[3:4] + good[2:3] + good[5:]
+            tables.append(
+                (swapped, "full_propelinear", "e or u with nontrivial permutation")
+            )
+        for values, reason, detail in tables:
             elements = [
                 PropelinearElement(BitVector(n, v), p, label)
                 for v, p, label in zip(values, element_perms(tag, t), element_labels(tag, t))
             ]
             old = _bitvector_finish_code(tag, t, elements, {})
-            assert old == Reject(reason, details[reason])
+            assert old == Reject(reason, detail)
             _assert_same_outcome(_finish_code(tag, t, values, {}), old)
 
 

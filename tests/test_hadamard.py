@@ -30,6 +30,7 @@ from helpers import (
     integer_is_hadamard_matrix,
     kernel_all_words,
     min_distance,
+    pairwise_orthogonal_rows,
     rank_by_span,
     rebuild_code,
     span_of,
@@ -114,11 +115,21 @@ def _failing_pairs(masks: list[int], n: int) -> list[tuple[int, int]]:
     ]
 
 
+def _sylvester_masks(n: int) -> list[int]:
+    """The -1 masks of the rows of the Sylvester matrix of order n, a power of 2."""
+    masks, width = [0], 1
+    while width < n:
+        full = (1 << width) - 1
+        masks = [m << width | m for m in masks] + [m << width | m ^ full for m in masks]
+        width *= 2
+    return masks
+
+
 def test_orthogonal_rows_rejects_a_single_failing_pair():
     # the one pairwise check behind the matrix and code verdicts and both scan
     # filters: replacing row j by a copy of row i (or of its complement) keeps
     # it orthogonal to every other row, so exactly the pair (i, j) fails
-    for n in (4, 8, 16, 32):
+    for n in (4, 8, 16, 32, 64, 128):
         masks = [sum(1 << k for k, x in enumerate(r) if x == -1) for r in _sylvester(n)]
         full = (1 << n) - 1
         assert hadamard._orthogonal_rows(masks, n)
@@ -127,6 +138,7 @@ def test_orthogonal_rows_rejects_a_single_failing_pair():
             bad[j] = masks[i] ^ full if compl else masks[i]
             assert _failing_pairs(bad, n) == [(i, j)]
             assert not hadamard._orthogonal_rows(bad, n), (n, i, j)
+            assert not pairwise_orthogonal_rows(bad, n)
     # odd n: no distance is n/2, not even floor(n/2) or ceil(n/2)
     for n in (1, 3, 5, 7):
         for w in (n // 2, n // 2 + 1):
@@ -136,6 +148,47 @@ def test_orthogonal_rows_rejects_a_single_failing_pair():
     for n in (0, 1, 4):
         assert hadamard._orthogonal_rows([], n)
     assert hadamard._orthogonal_rows([5], 4)
+
+
+def test_orthogonal_rows_matches_the_pairwise_oracle(accepted_pool):
+    """The slot-packed check against one popcount per pair: seeded masks of
+    every length up to 70, lengths around a one-byte count, Sylvester rows
+    past it, and the representatives of every accepted code with t <= 6."""
+    rng = random.Random(20290)
+    cases = []
+    for n in range(1, 71):
+        for m in range(13):
+            base = rng.getrandbits(n)
+            cases.append(([rng.getrandbits(n) for _ in range(m)], n))
+            # masks wider than n: every bit still counts
+            cases.append(([rng.getrandbits(n + 9) for _ in range(m)], n))
+            # every row at distance n/2 from the first: more pairs to test
+            near = [base ^ _random_weight(rng, n, n // 2) for _ in range(m - 1)]
+            cases.append((([base] + near)[:m], n))
+            if n in (8, 16, 32, 64):
+                cases.append((rng.sample(_sylvester_masks(n), min(m, n)), n))
+    for n in (255, 256, 257):
+        for m in (2, 3, 8):
+            cases.append(([rng.getrandbits(n) for _ in range(m)], n))
+        base = rng.getrandbits(n)
+        cases.append(([base, base ^ (1 << n // 2) - 1, base ^ (1 << n) - 1], n))
+    rows = _sylvester_masks(256)
+    cases += [(rows, 256), (rows[:-1] + [rows[7] ^ (1 << 256) - 1], 256)]
+    # slots of 512 bits with fields of two bytes
+    rows = _sylvester_masks(512)[:16]
+    cases += [(rows, 512), (rows[:-1] + [rows[7]], 512), (rows, 514)]
+    for tag_t, result in accepted_pool.items():
+        for acc in result.accepted:
+            n = acc.profile.length
+            full = (1 << n) - 1
+            reps = sorted(v for v in acc.vector_values if v < v ^ full)
+            cases += [(reps, n), (reps[:-1] + [reps[1] ^ full], n)]
+    verdicts = []
+    for masks, n in cases:
+        verdict = pairwise_orthogonal_rows(masks, n)
+        assert hadamard._orthogonal_rows(masks, n) == verdict, (n, masks)
+        verdicts.append(verdict)
+    assert verdicts.count(True) > 300 and verdicts.count(False) > 1000
 
 
 def test_is_hadamard_code():

@@ -25,5 +25,5 @@ def test_table_times_scan_reports_the_cell():
         assert (out["accepted"], out["profiles"], out["distinct"]) == (
             accepted, profiles, distinct
         ), family
-        for stage in stages + ("scan_s", "verify_s", "profile_s"):
+        for stage in stages + ("scan_s", "verify_s", "profile_s", "report_s"):
             assert out[stage] >= 0, (family, stage)

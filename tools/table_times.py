@@ -18,10 +18,11 @@ builds that cell's tables (the join table for 4tu2, 2t22u or 2t4u, the
 quaternion and class tables for tqu; timed as above), so that ``scan_s``
 covers the walk alone, then times the scan kernel in all mode
 over the whole range [0, 2^4t) in one ``search._scan`` call, then
-what ``search.run_search`` does with the accepted items, in two stages:
-``verify_s`` re-assembles each through ``search._verify``, and ``profile_s``
-runs ``search._accepted_codes`` on those codes, which profiles one code per
-translate class (``profiles`` of them).  Each stage is timed
+what ``search.run_search`` and ``hfpc search`` do with the accepted items,
+in three stages: ``verify_s`` re-assembles each through ``search._verify``,
+``profile_s`` runs ``search._accepted_codes`` on those codes, which profiles
+one code per translate class (``profiles`` of them), and ``report_s`` formats
+the JSON lines ``hfpc search`` writes for them, into a string.  Each stage is timed
 with ``perf_counter`` around it, so run one invocation per measurement: the
 tables are memoised for the life of the process.  Prints one JSON object
 with the times in seconds, the scan counters, the accepted, profiled and
@@ -31,6 +32,7 @@ distinct counts, and ``ru_maxrss`` in MB at the end.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import platform
 import resource
@@ -40,7 +42,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from hfpc import _scan_py, search  # noqa: E402
+from hfpc import _scan_py, cli, search  # noqa: E402
 from hfpc.families import SEARCH_TAGS  # noqa: E402
 
 
@@ -48,6 +50,14 @@ def timed(call, *args):
     start = time.perf_counter()
     result = call(*args)
     return result, round(time.perf_counter() - start, 4)
+
+
+def report(reports, family: str, t: int) -> str:
+    """The lines ``hfpc search`` writes for the accepted codes, as one string."""
+    out = io.StringIO()
+    for record in cli._accepted_records(reports, family, t):
+        cli._dump(record, out)
+    return out.getvalue()
 
 
 def a_buckets(tab) -> None:
@@ -90,6 +100,7 @@ def main() -> None:
         (reports, out["profiles"]), out["profile_s"] = timed(
             search._accepted_codes, family, t, codes
         )
+        _, out["report_s"] = timed(report, reports, family, t)
         out["distinct"] = len({r.vector_values for r in reports})
     out["ru_maxrss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
     print(json.dumps(out))
