@@ -47,7 +47,8 @@ families that the reference constructors use.
   row-0 weights wt(d^j + rot^j a), j < t, split the same way; a variant
   passes them exactly when its two a-weight signatures are complementary.
   The right parts of each power-signature class are indexed by a-weight
-  signature, the whole class in one pass on first use.  For each left part
+  signature in one pass on first use, the whole class in all mode and only
+  the parts below the window in first mode.  For each left part
   a scan counts the survivors in range by bisection, checks the variants
   of those in its two matching a-weight buckets, and charges each other
   survivor its four variants as rejected; only the accepted triples are
@@ -63,9 +64,11 @@ families that the reference constructors use.
   triples of an accepted orbit's other words by rotation (_orbit_walk).
   At t = 7 that is 1,204 variant checks for the 8,428 visited survivors,
   at t = 11 54,120 for 595,320.  A first-accept scan walks every left part,
-  on aligned windows of doubling size, and stops in the first window with
-  an accept; it keeps a memo from each rejected orbit's least rotation to
-  its counters for the one scan (_walk).
+  on aligned windows of doubling size, fills each class only below the
+  window it walks (a prefix of the class, rights_for), and stops in the
+  first window with an accept, which it walks once and counts up to the
+  accepted word; it keeps a memo from each rejected orbit's least rotation
+  to its counters for the one scan (_walk).
 
 In both scans the examined and power-rejected counts come from ranking the
 candidate stream, as if every candidate had been visited in ascending order;
@@ -412,9 +415,14 @@ class _QuaternionTables:
                 self.classes.setdefault(self.sig[s], []).append(s)
         self.full = sum(2 * t << (_FIELD * j) for j in range(fields))
         self.full_a = sum(2 * t << (_FIELD * j) for j in range(t - 1))
-        self.rights: dict[int, tuple[int, ...]] = {}  # left pair signature -> right parts
-        # left pair signature -> {a-weight signature: those right parts, ascending}
-        self.rights_by_a: dict[int, dict[int, list[int]]] = {}
+        self.cap = 1 << (4 * t)  # every word lies below it
+        # left pair signature -> (a cut 2^4m, its right parts below the cut,
+        # ascending); see rights_for
+        self.rights: dict[int, tuple[int, tuple[int, ...]]] = {}
+        # left pair signature -> (cut, {a-weight signature: those right parts, ascending})
+        self.rights_by_a: dict[int, tuple[int, dict[int, list[int]]]] = {}
+        # left pair signature -> its least right part, 2^4t when it has none
+        self.smallest: dict[int, int] = {}
         self.least: tuple[array, list[int], list[int], array] | None = None
 
         # A left part is a 2t-bit number m whose digit k (bits 2k + 1, 2k) is
@@ -437,14 +445,26 @@ class _QuaternionTables:
             s3, s2 = g[mh >> 1] << tl, g[mh] << tl
             self.high.append((s3, s2, sp[s3] << 3 | sp[s2] << 2, _parities(s3, s2)))
 
-    def rights_for(self, sig: int) -> tuple[int, ...]:
-        """Right parts, ascending, whose pair signature complements sig."""
-        rights = self.rights.get(sig)
-        if rights is None:
+    def rights_for(self, sig: int, below: int | None = None) -> tuple[int, ...]:
+        """Right parts, ascending, whose pair signature complements sig: all
+        of them, or a prefix that holds every one below `below`.
+
+        A right part sp[s1] << 1 | sp[s0] lies below 2^4m exactly when both
+        strands lie below 2^m, and each strand class is ascending, so the
+        fill for a bound takes the prefix of each class below 2^m: the full
+        tuple cut at 2^4m, for the least m <= t with 2^4m >= below.  The
+        tuple is kept with its cut and filled again when a larger bound asks
+        for a larger m; a smaller bound gets the longer tuple.
+        """
+        if below is None:
+            below = self.cap
+        got = self.rights.get(sig)
+        if got is None or got[0] < below:
+            m = min(self.t, -(-(below - 1).bit_length() // 4))
             need = self.full - sig
             sp = self.spread
-            classes = self.classes
-            rights = self.rights[sig] = tuple(
+            classes = {c: ones[: bisect_left(ones, 1 << m)] for c, ones in self.classes.items()}
+            got = self.rights[sig] = 1 << (4 * m), tuple(
                 sorted(
                     (sp[s1] << 1) | sp[s0]
                     for c1, ones in classes.items()
@@ -452,18 +472,43 @@ class _QuaternionTables:
                     for s1 in ones
                 )
             )
-        return rights
+        return got[1]
 
-    def rights_by_a_for(self, sig: int) -> dict[int, list[int]]:
-        """rights_for(sig) split by the a-weight signature of each right part
-        (see _a_signatures), the whole class in one pass on first use."""
-        buckets = self.rights_by_a.get(sig)
-        if buckets is None:
-            buckets = self.rights_by_a[sig] = {}
-            rights = self.rights_for(sig)
-            for ar, rv in zip(_a_signatures(rights, self.t), rights):
+    def rights_by_a_for(self, sig: int, below: int | None = None) -> dict[int, list[int]]:
+        """rights_for(sig, below) split by the a-weight signature of each
+        right part (see _a_signatures), in one pass over the parts not filed
+        yet: a larger cut only adds parts above those filed, at the ends of
+        the buckets."""
+        if below is None:
+            below = self.cap
+        got = self.rights_by_a.get(sig)
+        if got is None or got[0] < below:
+            rights = self.rights_for(sig, below)
+            cut, buckets = got or (0, {})
+            new = rights[bisect_left(rights, cut) :]
+            for ar, rv in zip(_a_signatures(new, self.t), new):
                 buckets.setdefault(ar, []).append(rv)
-        return buckets
+            got = self.rights_by_a[sig] = self.rights[sig][0], buckets
+        return got[1]
+
+    def smallest_right(self, sig: int) -> int:
+        """The least right part whose pair signature complements sig, 2^4t if
+        there is none, without filling the class: in each pair of strand
+        classes it is made of the two least strands."""
+        least = self.smallest.get(sig)
+        if least is None:
+            need = self.full - sig
+            sp = self.spread
+            classes = self.classes
+            least = self.smallest[sig] = min(
+                (
+                    sp[ones[0]] << 1 | sp[zeros[0]]
+                    for c1, ones in classes.items()
+                    if (zeros := classes.get(need - c1))
+                ),
+                default=self.cap,
+            )
+        return least
 
     def least_lefts(self):
         """(left part, pair signature, a-weight signature, period) of every
@@ -495,7 +540,8 @@ class _QuaternionTables:
         return zip(*self.least)
 
     def lefts(self, lo: int, hi: int):
-        """(left part, its pair signature), ascending part, if it has right parts.
+        """(left part, its pair signature), ascending part, if it has a right
+        part below hi.
 
         Yields every left part with a right part that could put the word in
         [lo, hi), for lo < hi.  Every word in range has lo's bits above the
@@ -503,12 +549,16 @@ class _QuaternionTables:
         those bits are walked; on the full range that is every part.  Among
         them, parts whose largest word (all right bits set) is below lo are
         skipped by bisection, since that largest word grows with the part.
+        The right-part test reads each class's least right part
+        (smallest_right) against the caller's hi, not against the end of the
+        walked parts, which can lie below words of the last parts walked.
         """
         t, tl = self.t, self.tl
         rmask = self.rmask
         low_values, high = self.low_values, self.high
         low_bits = 2 * tl
         low_mask = (1 << low_bits) - 1
+        below = hi
         # the parts m whose bits above the lowest j are lo's, j being the
         # number of left bit positions below the top bit where lo and hi - 1
         # differ; the first part after them bounds the walk as hi does
@@ -524,6 +574,7 @@ class _QuaternionTables:
             else:
                 last = mid
         sig = self.sig
+        smallest = self.smallest
         for mh in range(first >> low_bits, len(high)):
             s3h, s2h, lvh, par = high[mh]
             if lvh >= hi:
@@ -540,7 +591,10 @@ class _QuaternionTables:
                 s3 = s3h | s3l
                 s2 = s2h | s2l
                 pair_sig = sig[s3] + sig[s2]
-                if self.rights_for(pair_sig):
+                least = smallest.get(pair_sig)
+                if least is None:
+                    least = self.smallest_right(pair_sig)
+                if least < below:
                     yield lv, pair_sig
 
 
@@ -781,8 +835,12 @@ def _walk(tab: _QuaternionTables, lo: int, hi: int, first_only: bool, memo: dict
     full_a - al (f1 = f3) or al (f1 != f3) are visited; the other survivors
     fail the a-weight test in all 4 variants.  With first_only a d's variants
     stop at its first accept, which lowers hi to d + 1 and replaces the one
-    triple kept: the walk ends with the least accepted d, but its counters
-    are those of [lo, hi) only if it accepts nothing or d = hi - 1.
+    triple kept: the walk ends with the least accepted d.  The walk counts
+    once, after the loop, against the final hi: it keeps each left part
+    with survivors and each visited d with its packed counters, and a part's
+    survivors and a d's counters count only below that hi, as a walk over
+    [lo, hi) alone would count them.  The classes are filled only below the
+    hi it is called with (rights_for).
 
     The counters of a visited d depend only on its rot4 orbit (see
     _orbit_walk).  So the first rejected d of an orbit files its counters in
@@ -795,26 +853,25 @@ def _walk(tab: _QuaternionTables, lo: int, hi: int, first_only: bool, memo: dict
     """
     t = tab.t
     top = 4 * t - 4  # rot4 moves the low nibble here
+    below = hi
     accepted: list[tuple[int, int, int]] = []
-    survivors = rej_nob = rej_rel = rej_had = 0
+    parts: list[tuple[int, tuple[int, ...]]] = []  # (left part, its rights) with survivors
+    seen: list[tuple[int, int]] = []  # (visited d, its packed counters)
     lefts = list(tab.lefts(lo, hi))
     for (lv, sig), al in zip(lefts, _a_signatures([lv for lv, _ in lefts], t)):
-        rights = tab.rights_for(sig)
-        rlo, rhi = lo - lv, hi - lv
-        count = bisect_left(rights, rhi) - bisect_left(rights, rlo)
-        if not count:
+        rights = tab.rights_for(sig, below)
+        rlo = lo - lv
+        if bisect_left(rights, hi - lv) == bisect_left(rights, rlo):
             continue
-        survivors += count
+        parts.append((lv, rights))
         match = tab.full_a - al
-        by_a = tab.rights_by_a_for(sig)
+        by_a = tab.rights_by_a_for(sig, below)
         visits = [(match, (True, al == match))]
         if al != match:
             visits.append((al, (False, True)))
         for ar, allowed in visits:
             bucket = by_a.get(ar, ())
-            start, end = bisect_left(bucket, rlo), bisect_left(bucket, hi - lv)
-            count -= end - start
-            for rv in bucket[start:end]:
+            for rv in bucket[bisect_left(bucket, rlo) : bisect_left(bucket, hi - lv)]:
                 d = key = x = lv + rv
                 for _ in range(t - 1):
                     x = (x >> 4) | ((x & 15) << top)
@@ -827,15 +884,21 @@ def _walk(tab: _QuaternionTables, lo: int, hi: int, first_only: bool, memo: dict
                     packed = nob | rel << 3 | had << 6
                     if not acc:
                         memo[key] = packed
-                rej_nob += packed & 7
-                rej_rel += (packed >> 3) & 7
-                rej_had += packed >> 6
+                seen.append((d, packed))
                 if acc:
                     if first_only:
                         accepted, hi = acc, d + 1
                         break
                     accepted += acc
-        rej_had += 4 * count
+    survivors = sum(bisect_left(r, hi - lv) - bisect_left(r, lo - lv) for lv, r in parts)
+    visited = rej_nob = rej_rel = rej_had = 0
+    for d, packed in seen:
+        if d < hi:
+            visited += 1
+            rej_nob += packed & 7
+            rej_rel += (packed >> 3) & 7
+            rej_had += packed >> 6
+    rej_had += 4 * (survivors - visited)
     # stable: the triples of one d keep their (f1, f3) order
     accepted.sort(key=itemgetter(0))
     return accepted, (survivors, rej_nob, rej_rel, rej_had)
@@ -854,10 +917,11 @@ def scan_quaternion(
     else:
         # First mode walks [lo, hi) in windows: each is the part from its
         # start on of a block aligned to its own size, so `lefts` walks only
-        # the left parts that share the block's high bits.  The size doubles
-        # from 2^2t, the square root of the word range, which holds tens to
-        # hundreds of power survivors for t = 7 to 11.  In the window of the
-        # first accept d, a second walk over [start, d + 1) counts.
+        # the left parts that share the block's high bits, and the classes
+        # are filled only below the window's end.  The size doubles from
+        # 2^2t, the square root of the word range, which holds tens to
+        # hundreds of power survivors for t = 7 to 11.  The window of the
+        # first accept d counts up to d + 1 in its one walk.
         size = 1 << (2 * t)
         start = lo
         counts = [0, 0, 0, 0]
@@ -867,7 +931,6 @@ def scan_quaternion(
             accepted, window = _walk(tab, start, end, True, memo)
             if accepted:
                 hi = accepted[0][0] + 1  # counting stops at the first accepted candidate
-                accepted, window = _walk(tab, start, hi, True, memo)
             counts = [x + y for x, y in zip(counts, window)]
             start, size = end, size << 1
     survivors, rej_nob, rej_rel, rej_had = counts

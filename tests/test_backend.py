@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import Counter
 from functools import cache
 
@@ -436,6 +437,78 @@ def test_quaternion_right_buckets_partition_each_class():
             assert tab.rights_by_a_for(sig) == want, (t, sig)
 
 
+def _check_bounded_fill(tab, sig, below, whole, whole_by_a):
+    """rights_for(sig, below) and each bucket of rights_by_a_for(sig, below)
+    are prefixes of the whole class that hold every right part below below;
+    returns the length of the first.  No bound asks for the whole class."""
+    got = tab.rights_for(sig, below)
+    by_a = tab.rights_by_a_for(sig, below)
+    if below is None:
+        below = 1 << (4 * tab.t)
+    assert got == whole[: len(got)] and len(got) >= bisect_left(whole, below), (sig, below)
+    assert by_a.keys() <= whole_by_a.keys(), (sig, below)
+    for ar, bucket in whole_by_a.items():
+        mine = by_a.get(ar, [])
+        assert mine == bucket[: len(mine)], (sig, below, ar)
+        assert len(mine) >= bisect_left(bucket, below), (sig, below, ar)
+    return len(got)
+
+
+def test_quaternion_bounded_fill_is_a_prefix_of_the_class():
+    # a class filled for a bound is the whole class cut at 2^4m, for the
+    # least m with 2^4m >= the bound, and so are its a-weight buckets; a
+    # table that filled a class for one bound answers any other, larger,
+    # smaller or none, with a prefix that holds every part below it
+    rng = random.Random(3030)
+    for t in (3, 5, 7, 9):
+        whole = _scan_py._QuaternionTables(t)
+        sigs = sorted({sig for _, sig in whole.lefts(0, 1 << (4 * t))})
+        want = {sig: whole.rights_for(sig) for sig in sigs}
+        want_by_a = {sig: whole.rights_by_a_for(sig) for sig in sigs}
+        bounds = [1] + [rng.randrange(2, 1 << (4 * t)) for _ in range(6)]
+        for m in range(1, t + 1):
+            bounds += [(1 << (4 * m)) - 1, 1 << (4 * m), (1 << (4 * m)) + 1]
+        for below in bounds:
+            cut = 1 << (4 * min(m for m in range(t + 1) if 1 << (4 * m) >= below or m == t))
+            fresh = _scan_py._QuaternionTables(t)
+            for sig in sigs:
+                got = _check_bounded_fill(fresh, sig, below, want[sig], want_by_a[sig])
+                assert got == bisect_left(want[sig], cut), (t, sig, below)
+        shared = _scan_py._QuaternionTables(t)
+        for below in sorted(bounds) + sorted(bounds, reverse=True) + [None]:
+            for sig in sigs:
+                _check_bounded_fill(shared, sig, below, want[sig], want_by_a[sig])
+        for sig in sigs:
+            assert shared.rights_for(sig) == want[sig], (t, sig)
+            assert shared.rights_by_a_for(sig) == want_by_a[sig], (t, sig)
+
+
+def test_quaternion_lefts_do_not_depend_on_the_fill():
+    # lefts(lo, hi) narrows hi to the first left part past the walked ones,
+    # which can lie below words of the last parts walked: whether a part
+    # has a right part must be read against the caller's hi, so a table with
+    # nothing filled yields what one with every class filled yields, and
+    # that holds every left part with a word in [lo, hi)
+    rng = random.Random(7979)
+    for t in (7, 9):
+        filled = _scan_py._QuaternionTables(t)
+        every = list(filled.lefts(0, 1 << (4 * t)))
+        for _, sig in every:
+            filled.rights_by_a_for(sig)
+        for _ in range(25):
+            lo = rng.randrange(1 << (4 * t))
+            hi = min(lo + rng.randrange(1, 1 << (2 * t + 6)), 1 << (4 * t))
+            fresh = _scan_py._QuaternionTables(t)
+            got = list(fresh.lefts(lo, hi))
+            assert got == list(filled.lefts(lo, hi)), (t, lo, hi)
+            have = {
+                lv
+                for lv, sig in every
+                if bisect_left(r := filled.rights_for(sig), hi - lv) > bisect_left(r, lo - lv)
+            }
+            assert have <= {lv for lv, _ in got}, (t, lo, hi)
+
+
 def test_a_signature_matches_strand_oracle():
     # the bulk a-weight signatures against the per-part body and the strand
     # oracle: every part of the stream (both strands of even weight), right
@@ -458,8 +531,8 @@ def test_a_signature_matches_strand_oracle():
         assert _scan_py._a_signatures(parts, t) == want, t
 
 
-def _first_window(monkeypatch, t):
-    """Size of first mode's first window, read from the walks of a scan from 0."""
+def _windows(monkeypatch, t):
+    """The (lo, hi) of each walk of first mode's scan from 0, and its result."""
     walk = _scan_py._walk
     bounds = []
 
@@ -469,16 +542,16 @@ def _first_window(monkeypatch, t):
 
     with monkeypatch.context() as patch:
         patch.setattr(_scan_py, "_walk", logged)
-        _scan_py.scan_quaternion(t, 0, 1 << (4 * t), True)
+        got = _scan_py.scan_quaternion(t, 0, 1 << (4 * t), True)
     assert len(bounds) > 2 and bounds[0][0] == 0, bounds
-    return bounds[0][1]
+    return bounds, got
 
 
 def test_quaternion_first_mode_at_window_edges(monkeypatch):
     # an accepted d and the next one; the accepted d before it lies more than
     # a first window below
     for t, d, following in ((7, 130_418_375, 143_257_849), (9, 6_500_824_873, 6_534_518_601)):
-        w = _first_window(monkeypatch, t)
+        w = _windows(monkeypatch, t)[0][0][1]  # the first window's size
         assert w & (w - 1) == 0, w
         for lo in (d - w + 1, d - w, d):
             got = _scan_py.scan_quaternion(t, lo, 1 << (4 * t), True)
@@ -489,6 +562,42 @@ def test_quaternion_first_mode_at_window_edges(monkeypatch):
         assert got[0] == [], t
         assert got == _scan_py.scan_quaternion(t, d + 1, following, False), t
         assert got == heap_scan_quaternion(t, d + 1, following, True), t
+
+
+def test_quaternion_first_mode_walks_each_window_once(monkeypatch):
+    # the t = 9 scan from 0 walks 7 windows, [0, 2^18) and then blocks
+    # doubling up to [2^23, 2^24), which holds the first accepted d; that
+    # window is walked once and counts up to d + 1 itself
+    bounds, got = _windows(monkeypatch, 9)
+    assert bounds == [(0, 1 << 18)] + [(1 << k, 1 << (k + 1)) for k in range(18, 24)]
+    assert (1 << 23) <= got[0][0][0] < 1 << 24
+    assert got == heap_scan_quaternion(9, 0, 1 << 36, True)
+
+
+def test_quaternion_first_mode_counts_up_to_its_accept(monkeypatch):
+    # the window of the first accept d walks its left parts in ascending
+    # order, so it can visit words above d, of a smaller left part, before
+    # it meets d; its one walk must still count [lo, d + 1) alone.  Seeded
+    # subranges against the heap merge, some with such a visit
+    rng = random.Random(1212)
+    variants = _scan_py._quaternion_variants
+    above = 0
+    for _ in range(16):
+        t = rng.choice((7, 9))
+        lo = rng.randrange(1 << (4 * t))
+        hi = lo + rng.randrange(1, 1 << (2 * t + 12))
+        calls = []
+
+        def recorded(d, *rest):
+            calls.append(d)
+            return variants(d, *rest)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_scan_py, "_quaternion_variants", recorded)
+            got = _scan_py.scan_quaternion(t, lo, hi, True)
+        assert got == heap_scan_quaternion(t, lo, hi, True), (t, lo, hi)
+        above += bool(got[0]) and max(calls) > got[0][0][0]
+    assert above
 
 
 def test_quaternion_first_mode_t11_below_first_code():
@@ -790,10 +899,10 @@ class _OneOrbitTables:
     def lefts(self, lo, hi):
         return ((lv, self.sig) for lv in sorted(set(_rotations(self.left, 9))))
 
-    def rights_for(self, sig):
+    def rights_for(self, sig, below=None):
         return tuple(self.rights)
 
-    def rights_by_a_for(self, sig):
+    def rights_by_a_for(self, sig, below=None):
         return self.buckets
 
     def least_lefts(self):

@@ -5,15 +5,16 @@
     python3 tools/table_times.py --quaternion 9
     python3 tools/table_times.py --scan 4tu2 12
     python3 tools/table_times.py --scan tqu 9
+    python3 tools/table_times.py --first tqu 9
 
 Imports ``hfpc`` from the ``src/`` beside this script.  ``--join H`` times
 ``_scan_py._join_table(H)``.  ``--quaternion T`` times
 ``_scan_py._quaternion_tables(T)`` as ``quaternion_tables_s``, then the
 class tables that the scan otherwise fills in on first use, in two stages:
-``class_tables_s`` walks the left parts once, filling in the right parts of
-each one's signature class and listing those least in their rot4 orbit with
-their a-weight signatures, and ``a_buckets_s`` files each class's right
-parts by a-weight signature, in bulk.  ``--scan FAMILY T``
+``class_tables_s`` walks the left parts once, listing those least in their
+rot4 orbit with their a-weight signatures, and ``a_buckets_s`` fills in the
+right parts of each one's signature class and files them by a-weight
+signature, in bulk.  ``--scan FAMILY T``
 builds that cell's tables (the join table for 4tu2, 2t22u or 2t4u, the
 quaternion and class tables for tqu; timed as above), so that ``scan_s``
 covers the walk alone, then times the scan kernel in all mode
@@ -22,7 +23,11 @@ what ``search.run_search`` and ``hfpc search`` do with the accepted items,
 in three stages: ``verify_s`` re-assembles each through ``search._verify``,
 ``profile_s`` runs ``search._accepted_codes`` on those codes, which profiles
 one code per translate class (``profiles`` of them), and ``report_s`` formats
-the JSON lines ``hfpc search`` writes for them, into a string.  Each stage is timed
+the JSON lines ``hfpc search`` writes for them, into a string.  ``--first
+FAMILY T`` times a cold first-mode scan, ``search._scan(FAMILY, T, True)``,
+before anything else runs, so that it builds every table it uses on demand:
+a tqu scan fills each class only below the window it walks, and
+``right_parts`` counts the right parts stored after it.  Each stage is timed
 with ``perf_counter`` around it, so run one invocation per measurement: the
 tables are memoised for the life of the process.  Prints one JSON object
 with the times in seconds, the scan counters, the accepted, profiled and
@@ -77,10 +82,20 @@ def main() -> None:
     parser.add_argument("--join", type=int, metavar="H", help="half-word length 2t")
     parser.add_argument("--quaternion", type=int, metavar="T")
     parser.add_argument("--scan", nargs=2, metavar=("FAMILY", "T"))
+    parser.add_argument("--first", nargs=2, metavar=("FAMILY", "T"))
     args = parser.parse_args()
-    if args.scan and args.scan[0] not in SEARCH_TAGS:
-        parser.error("FAMILY is one of 4tu2, 2t22u, 2t4u, tqu")
+    for cell in (args.scan, args.first):
+        if cell and cell[0] not in SEARCH_TAGS:
+            parser.error("FAMILY is one of 4tu2, 2t22u, 2t4u, tqu")
     out: dict = {"python": platform.python_version()}
+    if args.first:  # first, while every table is cold
+        family, t = args.first[0], int(args.first[1])
+        (accepted, counters), out["scan_s"] = timed(search._scan, family, t, True)
+        out["counters"] = list(counters)
+        out["accepted"] = len(accepted)
+        if family == "tqu":
+            rights = _scan_py._quaternion_tables(t).rights.values()
+            out["right_parts"] = sum(len(parts) for _, parts in rights)
     if args.join is not None:
         _, out["join_table_s"] = timed(_scan_py._join_table, args.join)
     if args.quaternion is not None:
